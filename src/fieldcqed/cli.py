@@ -186,6 +186,10 @@ def _cross_field_problems(data: dict) -> list:
         z0 = data["coupling"].get("z0", 0.0)
         if z0 > data["line"]["length"]:
             problems.append("$.coupling.z0: coupling position lies beyond the line length")
+    if mode == "evolve" and data["time_grid"].get("n_points", 3) < 3:
+        problems.append(
+            "$.time_grid.n_points: mode 'evolve' needs at least 3 points "
+            "for the Ehrenfest derivative")
     if mode in ("transmon", "couple", "evolve"):
         dim = 2 * data["transmon"].get("n_cutoff", 20) + 1
         if data["transmon"].get("n_levels", 2) > dim:
@@ -205,10 +209,14 @@ def _cross_field_problems(data: dict) -> list:
     return problems
 
 
+def _reject_constant(name: str):
+    raise ConfigError([f"{name} is not a valid number: config values must be finite"])
+
+
 def parse_config(text: str, default_mode: str = None) -> RunConfig:
     """Validate a JSON run configuration, reporting every violation at once."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"line {exc.lineno} column {exc.colno}: {exc.msg}"]) from exc
     if isinstance(data, dict) and "mode" not in data and default_mode is not None:
@@ -375,13 +383,14 @@ def run_evolve(cfg: RunConfig, out_dir: Path, verbose: bool) -> bool:
         "n_expect": tq.charge_number_op(p.n_cutoff),
         "sin_phi_expect": tq.sin_phi_op(p.n_cutoff, p.sign),
     })
-    cols = ["time", "norm", "energy", "n_expect", "sin_phi_expect"]
-    rows = zip(t, *(traj.series[c] for c in cols[1:]))
-    _write_csv(out_dir / "evolution.csv", cols, rows)
+    # every scalar before the first file, so a failure leaves no partial output
     scalars = {
         "ehrenfest_residual": float(dyn.ehrenfest_check(p, psi0, t)),
         "norm_drift": float(np.max(np.abs(traj.series["norm"] - 1.0))),
     }
+    cols = ["time", "norm", "energy", "n_expect", "sin_phi_expect"]
+    rows = zip(t, *(traj.series[c] for c in cols[1:]))
+    _write_csv(out_dir / "evolution.csv", cols, rows)
     _summary(out_dir, cfg, ["evolution.csv"], scalars)
     return True
 

@@ -115,11 +115,20 @@ def _g_table(ts, modes, cs, m: int) -> np.ndarray:
     return table
 
 
-def _embed(factors) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for f in factors:
-        out = np.kron(out, f)
-    return out
+def _product_diagonal(head, cutoffs, weights) -> np.ndarray:
+    """Diagonal of head (x) 1 + sum_l weights[l] n_l in the product basis.
+
+    ``head`` holds the transmon diagonal and n_l is the photon number of
+    mode l.  One broadcast sum over the (m, *cutoffs) grid, flattened with
+    the transmon index varying slowest, as in ``np.kron``.
+    """
+    ndim = len(cutoffs) + 1
+    diag = np.asarray(head, dtype=float).reshape((-1,) + (1,) * (ndim - 1))
+    for l, (c, w) in enumerate(zip(cutoffs, weights)):
+        shape = [1] * ndim
+        shape[l + 1] = c
+        diag = diag + w * np.arange(c, dtype=float).reshape(shape)
+    return diag.ravel()
 
 
 def _assemble(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
@@ -137,17 +146,16 @@ def _assemble(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
     if dim > MAX_DIM:
         raise CapacityError(f"product dimension {dim} exceeds MAX_DIM={MAX_DIM}")
 
-    eye_t = np.eye(m)
-    eyes = [np.eye(c) for c in cutoffs]
-    h = np.zeros((dim, dim), dtype=complex)
-    h += _embed([np.diag(ts.levels[:m].astype(complex))] + eyes)
-    for l, c in enumerate(cutoffs):
-        n_l = np.diag(np.arange(c, dtype=float))
-        h += modes.freqs[l] * _embed([eye_t] + eyes[:l] + [n_l] + eyes[l + 1:])
+    h = np.diag(_product_diagonal(ts.levels[:m], cutoffs, modes.freqs))
+    # the coupling terms g_l (x) (a_l + a_l^dag) have a zero diagonal, so
+    # only they need a Kronecker product; all of it stays real until the
+    # single cast below
     for l, c in enumerate(cutoffs):
         a = np.diag(np.sqrt(np.arange(1.0, c)), k=1)
-        x = a + a.T
-        h += _embed([g_table[:, :, l]] + eyes[:l] + [x] + eyes[l + 1:])
+        before = np.eye(int(np.prod(cutoffs[:l])))
+        after = np.eye(int(np.prod(cutoffs[l + 1:])))
+        h += np.kron(np.kron(np.kron(g_table[:, :, l], before), a + a.T), after)
+    h = h.astype(complex)
     matrix = Operator(h, hermitian=True)
     meta = {
         "coupling": tag,
@@ -183,12 +191,8 @@ def total_excitation_op(coupled: CoupledHamiltonian) -> Operator:
     """Transmon level index plus photon numbers; conserved only without
     coupling (the a + a^dag form keeps counter-rotating terms)."""
     m, cutoffs = coupled.basis
-    eyes = [np.eye(c) for c in cutoffs]
-    n = _embed([np.diag(np.arange(m, dtype=float))] + eyes)
-    for l, c in enumerate(cutoffs):
-        n_l = np.diag(np.arange(c, dtype=float))
-        n += _embed([np.eye(m)] + eyes[:l] + [n_l] + eyes[l + 1:])
-    return Operator(n, hermitian=True)
+    diag = _product_diagonal(np.arange(m), cutoffs, np.ones(len(cutoffs)))
+    return Operator(np.diag(diag.astype(complex)), hermitian=True)
 
 
 def _smeared_mode_value(modes: ModeSet, l: int, z0: float, sigma: float, n_points: int = 801) -> float:

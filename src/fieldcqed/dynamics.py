@@ -9,7 +9,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     ContractViolationError,
@@ -17,7 +16,7 @@ from .errors import (
     NumericError,
     StepSizeError,
 )
-from .qops import Operator, StateVector
+from .qops import Operator, StateVector, expectation_series, spectrum
 from .transmon import (
     TransmonParams,
     build_charge_hamiltonian,
@@ -65,49 +64,52 @@ class ClassicalState:
             raise ContractViolationError("classical state must be finite")
 
 
-def _as_matrix(h) -> np.ndarray:
+def _as_operator(h) -> Operator:
     if isinstance(h, Operator):
-        return h.mat
+        return h
     matrix = getattr(h, "matrix", None)
     if isinstance(matrix, Operator):
-        return matrix.mat
+        return matrix
     raise ContractViolationError("expected an Operator or an object with a .matrix Operator")
 
 
 def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory:
     """Unitary evolution of ``psi0`` under ``h`` sampled on ``t_grid``.
 
-    Uses one spectral decomposition, so every sample is the exact propagator
-    applied to the initial state: refining the grid never changes values at
-    shared times.  Records norm, energy and (for small systems) populations
-    per basis label, plus expectations of any extra ``observables``.
+    Uses one eigendecomposition (:func:`fieldcqed.qops.spectrum`, the
+    real-symmetric solver when ``h`` is real), so every sample is the exact
+    propagator applied to the initial state: refining the grid never
+    changes values at shared times.  Records norm, energy and (for small
+    systems) populations per basis label, plus expectations of any extra
+    ``observables``.  Each expectation series is one matrix product of the
+    operator with all sampled states plus a column dot product.
     """
-    mat = _as_matrix(h)
-    if mat.shape[0] != psi0.dim:
-        raise DimensionMismatchError(f"H dim {mat.shape[0]} does not match state dim {psi0.dim}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if not np.allclose(mat, mat.conj().T, atol=1e-12 * scale, rtol=0.0):
-        raise ContractViolationError("evolution requires a hermitian Hamiltonian")
+    op_h = _as_operator(h)
+    if op_h.dim != psi0.dim:
+        raise DimensionMismatchError(f"H dim {op_h.dim} does not match state dim {psi0.dim}")
+    observables = observables or {}
+    for name, op in observables.items():
+        if op.dim != psi0.dim:
+            raise DimensionMismatchError(f"observable {name!r} dimension mismatch")
     t = np.asarray(t_grid, dtype=float)
 
-    evals, vecs = eigh(mat)
-    c0 = vecs.conj().T @ psi0.amps
-    states = vecs @ (np.exp(-1j * np.outer(evals, t)) * c0[:, None])
+    spec = spectrum(op_h)
+    states = spec.propagate(psi0.amps, t)
+    h_mat = spec.matrix
+    del spec  # the eigenvectors are not needed past here; free them early
     if not np.all(np.isfinite(states.view(float))):
         raise NumericError("evolution produced non-finite amplitudes")
 
     series = {
         "norm": np.linalg.norm(states, axis=0),
-        "energy": np.einsum("it,ij,jt->t", states.conj(), mat, states).real,
+        "energy": expectation_series(h_mat, states),
     }
     if psi0.dim <= _POPULATION_DIM_LIMIT:
         for idx, label in enumerate(psi0.labels):
             key = "pop_" + "_".join(str(x) for x in label)
             series[key] = np.abs(states[idx, :]) ** 2
-    for name, op in (observables or {}).items():
-        if op.dim != psi0.dim:
-            raise DimensionMismatchError(f"observable {name!r} dimension mismatch")
-        series[name] = np.einsum("it,ij,jt->t", states.conj(), op.mat, states).real
+    for name, op in observables.items():
+        series[name] = expectation_series(op.mat, states)
     return Trajectory(times=t, series=series, metadata={"dim": psi0.dim})
 
 
@@ -172,6 +174,9 @@ def ehrenfest_check(p: TransmonParams, psi0: StateVector, t_grid) -> float:
     """
     h = build_charge_hamiltonian(p)
     t = np.asarray(t_grid, dtype=float)
+    if t.size < 3:
+        raise ContractViolationError(
+            f"the centered derivative needs at least 3 time points, got {t.size}")
     dt = _uniform_dt(t)
     traj = evolve(h, psi0, t, observables={
         "n_expect": charge_number_op(p.n_cutoff),

@@ -86,6 +86,12 @@ class TestParseConfig:
             cli.parse_config(json.dumps(bad))
         assert any("initial_levels" in p for p in exc.value.problems)
 
+    def test_bath_keeps_two_time_points(self):
+        # only evolve needs a third point (test_bad_values_fail_as_config_errors)
+        bath = {"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1.0},
+                "time_grid": {"t_max": 1.0, "n_points": 2}}
+        assert cli.parse_config(json.dumps(bath)).time_grid["n_points"] == 2
+
     def test_mode_injected_from_subcommand(self):
         cfg = cli.parse_config("{}", default_mode="check")
         assert cfg.mode == "check"
@@ -122,6 +128,22 @@ class TestMainExitCodes:
         cfg = write_config(tmp_path, payload)
         assert cli.main(["bath", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, text", [
+        ("transmon", '{"mode": "transmon", "transmon": {"E_C": 0.3, "E_J": NaN}}'),
+        ("bath", '{"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1.0, '
+                 '"coupling_scale": Infinity}}'),
+        ("evolve", '{"mode": "evolve", "transmon": {"E_C": 0.3, "E_J": 15}, '
+                   '"time_grid": {"t_max": 1.0, "n_points": 2}}'),
+    ])
+    def test_bad_values_fail_as_config_errors(self, tmp_path, capsys, mode, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+        assert not out.exists() or not any(out.iterdir())
 
     def test_check_failure_returns_four(self, tmp_path, monkeypatch, capsys):
         def fake_run_all(progress=None):

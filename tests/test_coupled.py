@@ -38,6 +38,38 @@ def make_system(n_modes=1, f1_ghz=5.0, conv=LongitudinalNorm.FULL_LENGTH,
     return ts, line, xsec, modes
 
 
+def _embed(factors):
+    out = np.array([[1.0 + 0j]])
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def reference_hamiltonian(ts, modes, m, cutoffs, g_table):
+    """Every term as a complex Kronecker chain, as the builder was first
+    written: the reference for the broadcast diagonal."""
+    eyes = [np.eye(c) for c in cutoffs]
+    dim = m * int(np.prod(cutoffs))
+    h = np.zeros((dim, dim), dtype=complex)
+    h += _embed([np.diag(ts.levels[:m].astype(complex))] + eyes)
+    for l, c in enumerate(cutoffs):
+        n_l = np.diag(np.arange(c, dtype=float))
+        h += modes.freqs[l] * _embed([np.eye(m)] + eyes[:l] + [n_l] + eyes[l + 1:])
+    for l, c in enumerate(cutoffs):
+        a = np.diag(np.sqrt(np.arange(1.0, c)), k=1)
+        h += _embed([g_table[:, :, l]] + eyes[:l] + [a + a.T] + eyes[l + 1:])
+    return h
+
+
+def reference_excitation(m, cutoffs):
+    eyes = [np.eye(c) for c in cutoffs]
+    n = _embed([np.diag(np.arange(m, dtype=float))] + eyes)
+    for l, c in enumerate(cutoffs):
+        n_l = np.diag(np.arange(c, dtype=float))
+        n += _embed([np.eye(m)] + eyes[:l] + [n_l] + eyes[l + 1:])
+    return n
+
+
 class TestCouplingStrength:
     def test_fundamental_charge_to_voltage_ratio(self):
         # 2e/hbar from CODATA values
@@ -163,6 +195,14 @@ class TestBuildHamiltonian:
             ts, modes, CouplingSpec(1.0, 0.0, path_gain=0.0), 3, (4,))
         comm0 = uncoupled.matrix.mat @ n_tot.mat - n_tot.mat @ uncoupled.matrix.mat
         assert np.max(np.abs(comm0)) == 0.0
+
+    @pytest.mark.parametrize("m, cutoffs", [(4, (16, 16)), (3, (2, 2, 2))])
+    def test_matches_kronecker_reference(self, m, cutoffs):
+        ts, line, _, modes = make_system(n_modes=len(cutoffs))
+        built = build_full_hamiltonian(ts, modes, CouplingSpec(0.7, 0.3 * line.length), m, cutoffs)
+        assert np.array_equal(built.matrix.mat,
+                              reference_hamiltonian(ts, modes, m, cutoffs, built.g_table))
+        assert np.array_equal(total_excitation_op(built).mat, reference_excitation(m, cutoffs))
 
     def test_capacity_guard(self):
         ts, _, _, modes = make_system()

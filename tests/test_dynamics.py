@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh
 
 from fieldcqed.coupled import CouplingSpec, build_nn_hamiltonian, coupling_strength
 from fieldcqed.dynamics import (
@@ -12,8 +15,8 @@ from fieldcqed.dynamics import (
     first_return_period,
 )
 from fieldcqed.errors import ContractViolationError, StepSizeError
-from fieldcqed.qops import Operator, StateVector
-from fieldcqed.transmon import TransmonParams, solve
+from fieldcqed.qops import Operator, StateVector, spectrum
+from fieldcqed.transmon import TransmonParams, sin_phi_op, solve
 from fieldcqed.txline import (
     LineParams,
     LongitudinalNorm,
@@ -29,6 +32,20 @@ def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return Operator((m + m.conj().T) / 2, hermitian=True)
+
+
+def reference_evolve(h_mat, psi0, t, observables):
+    """Complex eigh and the three-operand contraction, as evolve was first
+    written: the reference for the real-symmetric path and the
+    matrix-product contraction."""
+    evals, vecs = eigh(h_mat.astype(complex))
+    c0 = vecs.conj().T @ psi0.amps
+    states = vecs @ (np.exp(-1j * np.outer(evals, t)) * c0[:, None])
+    series = {"norm": np.linalg.norm(states, axis=0),
+              "energy": np.einsum("it,ij,jt->t", states.conj(), h_mat, states).real}
+    for name, op in observables.items():
+        series[name] = np.einsum("it,ij,jt->t", states.conj(), op.mat, states).real
+    return series
 
 
 class TestTrajectory:
@@ -96,6 +113,27 @@ class TestEvolve:
         swapped = traj.series["pop_0_1"]
         k_half = np.argmin(np.abs(t - period / 2))
         assert swapped[k_half] > 0.99
+
+    @pytest.mark.parametrize("real_h", [False, True])
+    def test_matches_reference_contraction(self, real_h):
+        # dim 51 so that sin_phi_op (dim 2 n_cutoff + 1, purely imaginary)
+        # serves as the complex observable
+        dim = 51
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(dim, dim))
+        if not real_h:
+            a = a + 1j * rng.normal(size=(dim, dim))
+        h = Operator((a + a.conj().T) / 2, hermitian=True)
+        b = rng.normal(size=(dim, dim))
+        observables = {"real_obs": Operator((b + b.T) / 2, hermitian=True),
+                       "sin_phi": sin_phi_op(25)}
+        psi0 = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        t = np.linspace(0.0, 6.0, 301)
+        got = evolve(h, psi0, t, observables).series
+        ref = reference_evolve(h.mat, psi0, t, observables)
+        for name, series in ref.items():
+            tol = 1e-10 * max(1.0, float(np.max(np.abs(series))))
+            assert np.max(np.abs(got[name] - series)) < tol, name
 
     def test_rejects_nonhermitian(self):
         bad = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -201,6 +239,12 @@ class TestEhrenfest:
         assert 3.2 < resids[0] / resids[1] < 4.8
         assert 3.2 < resids[1] / resids[2] < 4.8
 
+    def test_needs_three_points(self):
+        p = TransmonParams(EC=1.0, EJ=100.0, n_cutoff=15)
+        psi0 = StateVector.basis_state(p.dim, p.n_cutoff)
+        with pytest.raises(ContractViolationError):
+            ehrenfest_check(p, psi0, np.array([0.0, 1e-3]))
+
     def test_coarse_grid_warns(self):
         p = TransmonParams(EC=1.0, EJ=100.0, n_cutoff=15)
         psi0 = StateVector.basis_state(p.dim, p.n_cutoff)
@@ -220,3 +264,33 @@ class TestFirstReturnPeriod:
         t = np.linspace(0, 1, 50)
         with pytest.raises(Exception):
             first_return_period(t, np.exp(-t))
+
+
+@given(dim=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+def test_spectral_paths_conserve_and_agree(dim, seed):
+    """A real-symmetric H takes the real solver; the gauge-rotated D H D^*,
+    with D a diagonal of random phases, has the same spectrum but takes the
+    complex one.  Both conserve norm and energy, and their propagated states
+    agree after rotating back."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim))
+    h = Operator((a + a.T) / 2, hermitian=True)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim))
+    h_rot = Operator(phases[:, None] * h.mat * phases.conj()[None, :], hermitian=True)
+    psi0 = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    t = np.linspace(0.0, 5.0, 41)
+    scale = max(1.0, float(np.max(np.abs(h.mat))))
+
+    real_spec, complex_spec = spectrum(h), spectrum(h_rot)
+    assert np.isrealobj(real_spec.vecs) and np.iscomplexobj(complex_spec.vecs)
+    assert np.max(np.abs(real_spec.evals - complex_spec.evals)) < 1e-12 * scale
+    direct = real_spec.propagate(psi0.amps, t)
+    rotated = complex_spec.propagate(phases * psi0.amps, t)
+    assert np.max(np.abs(phases.conj()[:, None] * rotated - direct)) < 1e-11
+
+    for op in (h, h_rot):
+        psi = psi0 if op is h else StateVector.from_amplitudes(phases * psi0.amps)
+        traj = evolve(op, psi, t)
+        assert np.max(np.abs(traj.series["norm"] - 1.0)) < 1e-12
+        e = traj.series["energy"]
+        assert np.max(np.abs(e - e[0])) < 1e-12 * scale

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from fieldcqed import (
     CapacityError,
@@ -17,6 +17,7 @@ from fieldcqed import (
     number_op,
     tensor_product,
 )
+from fieldcqed.qops import Spectrum, _is_hermitian
 
 
 def random_hermitian(dim, seed):
@@ -77,6 +78,36 @@ class TestOperator:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             annihilation_op(3) + annihilation_op(4)
+
+
+class TestHermiticityCheck:
+    """The one hermiticity test against the np.allclose form it replaced."""
+
+    @staticmethod
+    def old_test(m):
+        scale = max(1.0, float(np.abs(m).max()))
+        return np.allclose(m, m.conj().T, atol=1e-12 * scale, rtol=0.0)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("amplitude", [0.3, 1e3])
+    @pytest.mark.parametrize("unit", [1.0, 1j])
+    def test_threshold_matches_allclose(self, complex_entries, amplitude, unit):
+        rng = np.random.default_rng(31)
+        m = rng.normal(size=(12, 12))
+        if complex_entries:
+            m = m + 1j * rng.normal(size=(12, 12))
+        m = amplitude * (m + m.conj().T) / 2
+        scale = max(1.0, float(np.abs(m).max()))
+        for defect, accepted in ((0.5e-12, True), (2e-12, False)):
+            bad = np.array(m, dtype=complex)
+            bad[2, 7] += unit * defect * scale
+            assert _is_hermitian(bad) is accepted
+            assert self.old_test(bad) == accepted
+            if accepted:
+                Operator(bad, hermitian=True)
+            else:
+                with pytest.raises(ContractViolationError):
+                    Operator(bad, hermitian=True)
 
 
 class TestTensorProduct:
@@ -150,6 +181,17 @@ class TestEvolveStep:
         psi = StateVector.basis_state(2, 0)
         with pytest.raises(ContractViolationError):
             evolve_step(bad, psi, 0.1)
+
+    def test_real_and_complex_paths_agree(self):
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(40, 40))
+        h = Operator((a + a.T) / 2, hermitian=True)
+        psi = random_state(40, 18)
+        real = evolve_step(h, psi, 2.3).amps
+        # the same matrix through the complex hermitian solver
+        complex_path = Spectrum(*eigh(h.mat), h.mat).propagate(psi.amps, [2.3])[:, 0]
+        complex_path /= np.linalg.norm(complex_path)
+        assert np.linalg.norm(real - complex_path) < 1e-12
 
     def test_labels_survive(self):
         h = random_hermitian(3, 15)
