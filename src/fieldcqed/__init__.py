@@ -28,6 +28,7 @@ from .dynamics import (
     Trajectory,
     classical_trajectory,
     ehrenfest_check,
+    ehrenfest_residual,
     evolve,
     first_return_period,
 )

@@ -18,10 +18,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .dynamics import Trajectory
 from .errors import ContractViolationError, ModelError, NumericError
+from .qops import Operator, spectrum
 
 
 class InterfaceClosure(enum.Enum):
@@ -234,6 +234,25 @@ def _completion_term(bath: BathDiscretization):
     return slice(k_cav, k_cav + bath.n_bins), coeff, v
 
 
+def _coupled_matrix(cavity: CavityModes, bath: BathDiscretization, lam: float,
+                    boundary_completion: bool, factor: float) -> np.ndarray:
+    """diag(omega) + factor * (lam W blocks + lam^2 completion term): the
+    one-excitation Hamiltonian for factor 1, the classical quadrature block
+    for factor 2.  Overflow leaves inf entries, without a warning."""
+    k_cav = cavity.n_modes
+    om = np.concatenate([cavity.freqs, bath.omega_grid])
+    m = np.zeros((om.size, om.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m[:k_cav, k_cav:] = lam * bath.W
+        m[k_cav:, :k_cav] = lam * bath.W.T
+        if boundary_completion:
+            block, coeff, v = _completion_term(bath)
+            m[block, block] = lam * lam * coeff * np.outer(v, v)
+        m *= factor
+    m[np.diag_indices_from(m)] += om
+    return m
+
+
 def normal_mode_spectrum(cavity: CavityModes, bath: BathDiscretization,
                          coupling_scale: float = 1.0,
                          boundary_completion: bool = True) -> np.ndarray:
@@ -247,16 +266,13 @@ def normal_mode_spectrum(cavity: CavityModes, bath: BathDiscretization,
     if bath.W is None:
         raise ContractViolationError("couplings not filled; call coupling_coefficients first")
     lam = float(coupling_scale)
-    k_cav = cavity.n_modes
-    om = np.concatenate([cavity.freqs, bath.omega_grid])
-    m = np.diag(om)
-    m[:k_cav, k_cav:] += 2.0 * lam * bath.W
-    m[k_cav:, :k_cav] += 2.0 * lam * bath.W.T
-    if boundary_completion:
-        block, coeff, v = _completion_term(bath)
-        m[block, block] += 2.0 * lam**2 * coeff * np.outer(v, v)
-    s = np.sqrt(om)
-    sq = np.linalg.eigvalsh(s[:, None] * m * s[None, :])
+    m = _coupled_matrix(cavity, bath, lam, boundary_completion, 2.0)
+    s = np.sqrt(np.concatenate([cavity.freqs, bath.omega_grid]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = s[:, None] * m * s[None, :]
+    if not np.all(np.isfinite(q)):
+        raise NumericError(f"coupling_scale {lam:g} overflows the coupled quadratic form")
+    sq = np.linalg.eigvalsh(q)
     if sq[0] <= 0.0:
         raise ModelError(
             "coupled quadrature form is not positive definite "
@@ -290,20 +306,11 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
         raise IndexError(f"cavity mode {cavity_mode_index} outside [0, {cavity.n_modes})")
     lam = float(coupling_scale)
     k_cav = cavity.n_modes
-    dim = k_cav + bath.n_bins
-    h = np.zeros((dim, dim))
-    h[:k_cav, :k_cav] = np.diag(cavity.freqs)
-    h[k_cav:, k_cav:] = np.diag(bath.omega_grid)
-    h[:k_cav, k_cav:] = lam * bath.W
-    h[k_cav:, :k_cav] = lam * bath.W.T
-    if boundary_completion:
-        block, coeff, v = _completion_term(bath)
-        h[block, block] += lam**2 * coeff * np.outer(v, v)
-
+    h = Operator(_coupled_matrix(cavity, bath, lam, boundary_completion, 1.0), hermitian=True)
     t = np.asarray(t_grid, dtype=float)
-    evals, vecs = eigh(h)
-    c0 = vecs[cavity_mode_index, :].conj()
-    amps = vecs @ (np.exp(-1j * np.outer(evals, t)) * c0[:, None])
+    start = np.zeros(h.dim)
+    start[cavity_mode_index] = 1.0
+    amps = spectrum(h).propagate(start, t)
     pop_cavity = np.sum(np.abs(amps[:k_cav, :]) ** 2, axis=0)
     norm = np.linalg.norm(amps, axis=0)
 

@@ -385,7 +385,8 @@ def run_evolve(cfg: RunConfig, out_dir: Path, verbose: bool) -> bool:
     })
     # every scalar before the first file, so a failure leaves no partial output
     scalars = {
-        "ehrenfest_residual": float(dyn.ehrenfest_check(p, psi0, t)),
+        "ehrenfest_residual": dyn.ehrenfest_residual(
+            p, t, traj.series["n_expect"], traj.series["sin_phi_expect"]),
         "norm_drift": float(np.max(np.abs(traj.series["norm"] - 1.0))),
     }
     cols = ["time", "norm", "energy", "n_expect", "sin_phi_expect"]

@@ -14,6 +14,7 @@ is built from SI constants and the SI voltage amplitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.constants import e as elementary_charge
@@ -104,14 +105,14 @@ def coupling_strength(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
     return float(TWO_E_OVER_HBAR * cs.beta_eff * modes.n_v[l] * u0 * cs.path_gain * me)
 
 
-def _g_table(ts, modes, cs, m: int) -> np.ndarray:
-    table = np.zeros((m, m, modes.n_modes))
-    for l in range(modes.n_modes):
+def _g_table(rate, m: int, n_modes: int) -> np.ndarray:
+    """Symmetric (m, m, n_modes) table of ``rate(i, j, l)``, evaluated once
+    per unordered transmon pair (i, j >= i)."""
+    table = np.zeros((m, m, n_modes))
+    for l in range(n_modes):
         for i in range(m):
             for j in range(i, m):
-                g = coupling_strength(ts, modes, cs, i, j, l)
-                table[i, j, l] = g
-                table[j, i, l] = g
+                table[i, j, l] = table[j, i, l] = rate(i, j, l)
     return table
 
 
@@ -148,14 +149,12 @@ def _assemble(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
 
     h = np.diag(_product_diagonal(ts.levels[:m], cutoffs, modes.freqs))
     # the coupling terms g_l (x) (a_l + a_l^dag) have a zero diagonal, so
-    # only they need a Kronecker product; all of it stays real until the
-    # single cast below
+    # only they need a Kronecker product; all of it is real
     for l, c in enumerate(cutoffs):
         a = np.diag(np.sqrt(np.arange(1.0, c)), k=1)
         before = np.eye(int(np.prod(cutoffs[:l])))
         after = np.eye(int(np.prod(cutoffs[l + 1:])))
         h += np.kron(np.kron(np.kron(g_table[:, :, l], before), a + a.T), after)
-    h = h.astype(complex)
     matrix = Operator(h, hermitian=True)
     meta = {
         "coupling": tag,
@@ -172,14 +171,14 @@ def _assemble(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
 def build_full_hamiltonian(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
                            m: int, fock_cutoffs) -> CoupledHamiltonian:
     """All charge matrix elements retained (no nearest-neighbor truncation)."""
-    table = _g_table(ts, modes, cs, m)
+    table = _g_table(partial(coupling_strength, ts, modes, cs), m, modes.n_modes)
     return _assemble(ts, modes, cs, m, fock_cutoffs, table, tag="full")
 
 
 def build_nn_hamiltonian(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
                          m: int, fock_cutoffs) -> CoupledHamiltonian:
     """Coupling restricted to |i - j| = 1 transmon transitions."""
-    table = _g_table(ts, modes, cs, m)
+    table = _g_table(partial(coupling_strength, ts, modes, cs), m, modes.n_modes)
     for i in range(m):
         for j in range(m):
             if abs(i - j) != 1:
@@ -192,7 +191,7 @@ def total_excitation_op(coupled: CoupledHamiltonian) -> Operator:
     coupling (the a + a^dag form keeps counter-rotating terms)."""
     m, cutoffs = coupled.basis
     diag = _product_diagonal(np.arange(m), cutoffs, np.ones(len(cutoffs)))
-    return Operator(np.diag(diag.astype(complex)), hermitian=True)
+    return Operator(np.diag(diag), hermitian=True)
 
 
 def _smeared_mode_value(modes: ModeSet, l: int, z0: float, sigma: float, n_points: int = 801) -> float:
@@ -251,13 +250,8 @@ def field_reduction_check(ts: TransmonSolution, modes: ModeSet, xsec: TEMCrossSe
     the spatial integral collapses to the lumped coupling formula.
     """
     circuit = build_full_hamiltonian(ts, modes, cs, m, fock_cutoffs)
-    table = np.zeros_like(circuit.g_table)
-    for l in range(modes.n_modes):
-        for i in range(m):
-            for j in range(i, m):
-                g = field_coupling_strength(ts, modes, xsec, cs, i, j, l, sigma_frac)
-                table[i, j, l] = g
-                table[j, i, l] = g
+    rate = partial(field_coupling_strength, ts, modes, xsec, cs, sigma_frac=sigma_frac)
+    table = _g_table(rate, m, modes.n_modes)
     fielded = _assemble(ts, modes, cs, m, fock_cutoffs, table, tag="field-integrated")
     max_diff = float(np.max(np.abs(fielded.matrix.mat - circuit.matrix.mat)))
     return fielded.matrix, circuit.matrix, max_diff

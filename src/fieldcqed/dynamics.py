@@ -93,16 +93,14 @@ def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory
             raise DimensionMismatchError(f"observable {name!r} dimension mismatch")
     t = np.asarray(t_grid, dtype=float)
 
-    spec = spectrum(op_h)
-    states = spec.propagate(psi0.amps, t)
-    h_mat = spec.matrix
-    del spec  # the eigenvectors are not needed past here; free them early
+    # the eigenvectors are not needed past propagation, so none are kept
+    states = spectrum(op_h).propagate(psi0.amps, t)
     if not np.all(np.isfinite(states.view(float))):
         raise NumericError("evolution produced non-finite amplitudes")
 
     series = {
         "norm": np.linalg.norm(states, axis=0),
-        "energy": expectation_series(h_mat, states),
+        "energy": expectation_series(op_h.mat, states),
     }
     if psi0.dim <= _POPULATION_DIM_LIMIT:
         for idx, label in enumerate(psi0.labels):
@@ -164,32 +162,39 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
 
 
 def ehrenfest_check(p: TransmonParams, psi0: StateVector, t_grid) -> float:
-    """Residual of d<n>/dt = -E_J <sin phi> for an isolated transmon.
-
-    The derivative is a centered finite difference on the supplied grid, so
-    the residual itself converges at second order in the grid spacing.
-    Returns max_t |d<n>/dt + E_J <sin phi>| normalized by the larger of
-    max|E_J <sin phi>| and 1e-3 E_J (the floor keeps eigenstate runs, where
-    both sides vanish, from dividing noise by noise).
-    """
-    h = build_charge_hamiltonian(p)
+    """:func:`ehrenfest_residual` of ``psi0`` evolved on ``t_grid`` under
+    the charge Hamiltonian of the isolated transmon ``p``."""
     t = np.asarray(t_grid, dtype=float)
+    traj = evolve(build_charge_hamiltonian(p), psi0, t, observables={
+        "n_expect": charge_number_op(p.n_cutoff),
+        "sin_phi": sin_phi_op(p.n_cutoff, p.sign),
+    })
+    return ehrenfest_residual(p, t, traj.series["n_expect"], traj.series["sin_phi"])
+
+
+def ehrenfest_residual(p: TransmonParams, times, n_expect, sin_phi) -> float:
+    """Residual of d<n>/dt = -E_J <sin phi> from sampled <n> and <sin phi>.
+
+    The derivative is a centered finite difference on the uniform grid
+    ``times``, so the residual itself converges at second order in the grid
+    spacing.  Returns max_t |d<n>/dt + E_J <sin phi>| normalized by the
+    larger of max|E_J <sin phi>| and 1e-3 E_J (the floor keeps eigenstate
+    runs, where both sides vanish, from dividing noise by noise).  Warns
+    when the grid is too coarse for the spectrum of ``p``.
+    """
+    t = np.asarray(times, dtype=float)
     if t.size < 3:
         raise ContractViolationError(
             f"the centered derivative needs at least 3 time points, got {t.size}")
     dt = _uniform_dt(t)
-    traj = evolve(h, psi0, t, observables={
-        "n_expect": charge_number_op(p.n_cutoff),
-        "sin_phi": sin_phi_op(p.n_cutoff, p.sign),
-    })
-    evals = np.linalg.eigvalsh(h.mat)
+    evals = np.linalg.eigvalsh(build_charge_hamiltonian(p).mat)
     spread = float(evals[-1] - evals[0])
     if dt * spread > 0.5:
         warnings.warn(
             "t_grid too coarse for the finite-difference derivative; "
             f"dt * spectral_spread = {dt * spread:.2f}", stacklevel=2)
-    n_t = traj.series["n_expect"]
-    rhs = -p.EJ * traj.series["sin_phi"]
+    n_t = np.asarray(n_expect)
+    rhs = -p.EJ * np.asarray(sin_phi)
     lhs = (n_t[2:] - n_t[:-2]) / (2.0 * dt)
     resid = np.max(np.abs(lhs - rhs[1:-1]))
     denom = max(float(np.max(np.abs(rhs))), 1e-3 * p.EJ)

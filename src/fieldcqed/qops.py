@@ -3,8 +3,9 @@ every exact propagation goes through.
 
 Internally hbar = 1: Hamiltonians are expressed in angular-frequency units
 and time in the inverse units, so ``exp(-i H t)`` needs no extra constants.
-Operators are stored as dense complex numpy; the capacity limit below keeps
-runaway tensor products from exhausting memory.
+Operators are stored as dense numpy: float64 when the matrix is real,
+complex128 otherwise.  The capacity limit below keeps runaway tensor
+products from exhausting memory.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .errors import (
     NumericError,
 )
 
-# largest dense dimension accepted by constructors and tensor products
+# largest dense dimension a product of spaces may create (tensor_product and
+# the coupled builders); a single Operator may be larger
 MAX_DIM = 4096
 
 _HERM_TOL = 1e-12
@@ -33,21 +35,26 @@ def _is_hermitian(m: np.ndarray) -> bool:
 
     |m - m^H| is hypot(Re m - Re m^T, Im m + Im m^T), as ``np.abs`` computes
     it, formed from real temporaries only; the imaginary half is skipped
-    when it is exactly zero.
+    when it is absent or exactly zero.
     """
-    re, im = m.real, m.imag
+    re = m.real
     d = re - re.T
-    if im.any():
+    if np.iscomplexobj(m) and m.imag.any():
         scale = float(np.abs(m).max())
-        np.hypot(d, im + im.T, out=d)
+        np.hypot(d, m.imag + m.imag.T, out=d)
     else:
         scale = max(float(re.max()), -float(re.min()))
         np.abs(d, out=d)
     return float(d.max()) <= _HERM_TOL * max(1.0, scale)
 
 
-def _as_complex_matrix(mat) -> np.ndarray:
-    m = np.asarray(mat, dtype=complex)
+def _as_matrix(mat) -> np.ndarray:
+    """``mat`` as a finite square float64 matrix when its imaginary part is
+    exactly zero (or absent), else as complex128."""
+    m = np.asarray(mat)
+    if np.iscomplexobj(m) and not m.imag.any():
+        m = np.ascontiguousarray(m.real)
+    m = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -57,12 +64,14 @@ def _as_complex_matrix(mat) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """A dense complex square matrix with an optional hermiticity assertion.
+    """A dense square matrix with an optional hermiticity assertion.
 
     Parameters
     ----------
     mat:
-        Square complex matrix.
+        Square matrix.  Stored as float64 when its imaginary part is
+        exactly zero (integer and real input included), else as complex128;
+        the dtype is decided here once, so real operators stay real.
     hermitian:
         If True, the constructor verifies hermiticity once, and operations
         that require a hermitian operand (:func:`spectrum` and the
@@ -75,9 +84,7 @@ class Operator:
     hermitian: bool = False
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.mat)
-        if m.shape[0] > MAX_DIM:
-            raise CapacityError(f"dimension {m.shape[0]} exceeds MAX_DIM={MAX_DIM}")
+        m = _as_matrix(self.mat)
         if self.hermitian and not _is_hermitian(m):
             raise ContractViolationError("matrix marked hermitian is not hermitian")
         object.__setattr__(self, "mat", m)
@@ -103,8 +110,8 @@ class Operator:
 
     def __mul__(self, scalar) -> "Operator":
         z = complex(scalar)
-        herm = self.hermitian and z.imag == 0.0
-        return Operator(self.mat * z, hermitian=herm)
+        real = z.imag == 0.0
+        return Operator(self.mat * (z.real if real else z), hermitian=self.hermitian and real)
 
     __rmul__ = __mul__
 
@@ -202,7 +209,7 @@ def commutator(a: Operator, b: Operator) -> Operator:
 
 
 def identity_op(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex), hermitian=True)
+    return Operator(np.eye(dim), hermitian=True)
 
 
 def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -215,26 +222,12 @@ def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x.view(float).reshape(x.shape[0], -1)).view(complex).reshape(x.shape)
 
 
-def _real_if_real(m: np.ndarray) -> np.ndarray:
-    """A contiguous real copy of ``m`` when its imaginary part is exactly
-    zero, else ``m`` itself."""
-    if np.iscomplexobj(m) and not m.imag.any():
-        return np.ascontiguousarray(m.real)
-    return m
-
-
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenpairs of a hermitian operator from one eigendecomposition.
-
-    ``matrix`` is the array that was diagonalised.  For an operator whose
-    imaginary part is exactly zero it is a contiguous real copy, and
-    ``vecs`` is then real as well; otherwise both are complex.
-    """
+    """Eigenpairs of a hermitian operator; ``vecs`` is real when it is."""
 
     evals: np.ndarray
     vecs: np.ndarray
-    matrix: np.ndarray
 
     def propagate(self, amps: np.ndarray, times) -> np.ndarray:
         """Columns ``exp(-i H t) amps`` for every t in ``times`` (dim x n_t)."""
@@ -249,18 +242,21 @@ class Spectrum:
 def spectrum(h: Operator) -> Spectrum:
     """Eigendecomposition of the hermitian operator ``h``.
 
+    Every eigendecomposition in the package goes through here: ``evolve``,
+    ``evolve_step``, ``transmon.solve`` and ``bath.decay_simulation``.
     Hermiticity is checked unless ``h.hermitian`` already asserts it.  A
-    matrix whose imaginary part is exactly zero (every charge and coupled
-    Hamiltonian this package builds) goes to the real-symmetric
-    divide-and-conquer solver, several times faster than the complex one
-    at no higher memory peak; complex matrices keep the complex hermitian
-    solver.
+    real operator (every charge, coupled and bath Hamiltonian this package
+    builds) goes to the real-symmetric divide-and-conquer solver, several
+    times faster than the complex one; complex operators keep the complex
+    hermitian solver.  A LAPACK failure is raised as NumericError.
     """
     if not h.hermitian and not _is_hermitian(h.mat):
         raise ContractViolationError("evolution requires a hermitian generator")
-    m = _real_if_real(h.mat)
-    evals, vecs = eigh(m, driver="evd" if np.isrealobj(m) else None)
-    return Spectrum(evals, vecs, m)
+    try:
+        evals, vecs = eigh(h.mat, driver="evd" if np.isrealobj(h.mat) else None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition of dimension {h.dim} failed: {exc}") from exc
+    return Spectrum(evals, vecs)
 
 
 def evolve_step(h: Operator, psi: StateVector, dt: float) -> StateVector:
@@ -293,6 +289,6 @@ def expectation_series(mat: np.ndarray, states: np.ndarray) -> np.ndarray:
     ``states`` is made.  For a hermitian ``mat`` the dropped imaginary part
     is rounding.
     """
-    y = _matmul(_real_if_real(mat), states)
+    y = _matmul(mat, states)
     s = np.ascontiguousarray(states)
     return np.einsum("it,it->t", s.view(float), y.view(float)).reshape(-1, 2).sum(axis=1)

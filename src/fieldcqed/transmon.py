@@ -9,13 +9,12 @@ same units.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import ContractViolationError, NumericError
-from .qops import Operator
+from .qops import Operator, spectrum
 
 
 class TunnelingSign(enum.Enum):
@@ -52,12 +51,13 @@ class TransmonParams:
 
 @dataclass(frozen=True)
 class TransmonSolution:
-    """Sorted eigenfrequencies and phase-fixed charge-basis eigenvectors."""
+    """Sorted eigenfrequencies and real, phase-fixed charge-basis eigenvectors."""
 
     levels: np.ndarray
     eigvecs: np.ndarray
     params: TransmonParams
-    phase_convention: str = "largest-magnitude component real positive"
+    phase_convention: str = (
+        "lowest-index component within 1e-9 relative of the largest magnitude is real positive")
 
     @property
     def n_levels(self) -> int:
@@ -108,25 +108,27 @@ def build_charge_hamiltonian(p: TransmonParams) -> Operator:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        pivot = out[k, j]
-        out[:, j] *= np.conj(pivot) / abs(pivot)
-    return out
+    """Rotate each column so that its pivot is real positive.
+
+    The pivot is the lowest-index component whose magnitude lies within
+    1e-9 relative of the column's largest.  At n_g = 0 and 1/2 the largest
+    magnitudes come in exact mirror pairs (N <-> -N, N <-> 1 - N), and a
+    plain argmax would let rounding pick the pivot, and with it the sign.
+    """
+    mag = np.abs(vecs)
+    k = np.argmax(mag >= (1.0 - 1e-9) * mag.max(axis=0), axis=0)
+    pivot = vecs[k, np.arange(vecs.shape[1])]
+    return vecs * (np.conj(pivot) / np.abs(pivot))
 
 
 def solve(p: TransmonParams) -> TransmonSolution:
     h = build_charge_hamiltonian(p)
-    try:
-        evals, vecs = eigh(h.mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise NumericError(f"eigensolver failed for EC={p.EC}, EJ={p.EJ}: {exc}") from exc
-    resid = np.linalg.norm(h.mat @ vecs - vecs * evals, axis=0)
-    hnorm = np.linalg.norm(h.mat, 2)
+    spec = spectrum(h)
+    resid = np.linalg.norm(h.mat @ spec.vecs - spec.vecs * spec.evals, axis=0)
+    hnorm = float(np.abs(spec.evals).max())  # ||H||_2 of a hermitian H
     if np.any(resid > 1e-10 * max(hnorm, 1.0)):
         raise NumericError(f"eigenpair residual {resid.max():.3e} exceeds 1e-10 * ||H||")
-    return TransmonSolution(levels=evals, eigvecs=_fix_phases(vecs), params=p)
+    return TransmonSolution(levels=spec.evals, eigvecs=_fix_phases(spec.vecs), params=p)
 
 
 def charge_matrix_element(s: TransmonSolution, i: int, j: int) -> float:
@@ -144,52 +146,38 @@ def charge_matrix_element(s: TransmonSolution, i: int, j: int) -> float:
     return float(val.real)
 
 
-def _level_over_grid(p: TransmonParams, level: int, n_points: int) -> np.ndarray:
-    vals = np.empty(n_points)
-    for k, ng in enumerate(np.linspace(0.0, 1.0, n_points)):
-        q = TransmonParams(p.EC, p.EJ, ng, p.n_cutoff, p.sign)
-        vals[k] = solve(q).levels[level]
-    return vals
+def _ng_spread(p: TransmonParams, value) -> float:
+    """Peak-to-peak variation of ``value(levels)`` as n_g sweeps [0, 1].
 
-
-def charge_dispersion(p: TransmonParams, level: int = 0) -> float:
-    """Peak-to-peak variation of omega_level as n_g sweeps [0, 1].
-
-    Starts from a 21-point uniform grid and doubles the resolution until the
-    estimate moves by less than 1%.
+    Starts from a 21-point uniform grid and doubles the resolution (up to
+    321 points) until the estimate moves by less than 1%.
     """
-    if level < 0 or level >= p.dim:
-        raise IndexError(f"level {level} outside [0, {p.dim})")
+    def spread(n_points: int) -> float:
+        vals = [value(solve(replace(p, ng=ng)).levels) for ng in np.linspace(0.0, 1.0, n_points)]
+        return float(max(vals) - min(vals))
+
     n_points = 21
-    vals = _level_over_grid(p, level, n_points)
-    est = float(vals.max() - vals.min())
+    est = spread(n_points)
     while n_points < 321:
         n_points = 2 * n_points - 1
-        vals = _level_over_grid(p, level, n_points)
-        new = float(vals.max() - vals.min())
+        new = spread(n_points)
         done = abs(new - est) <= 0.01 * abs(new)
         est = new
         if done:
             break
     return est
+
+
+def charge_dispersion(p: TransmonParams, level: int = 0) -> float:
+    """Peak-to-peak variation of omega_level over n_g (see ``_ng_spread``)."""
+    if level < 0 or level >= p.dim:
+        raise IndexError(f"level {level} outside [0, {p.dim})")
+    return _ng_spread(p, lambda w: w[level])
 
 
 def transition_dispersion(p: TransmonParams, i: int = 0, j: int = 1) -> float:
     """Peak-to-peak variation of the i -> j transition frequency over n_g."""
-    n_points = 21
-    lo = _level_over_grid(p, i, n_points)
-    hi = _level_over_grid(p, j, n_points)
-    gap = hi - lo
-    est = float(gap.max() - gap.min())
-    while n_points < 321:
-        n_points = 2 * n_points - 1
-        gap = _level_over_grid(p, j, n_points) - _level_over_grid(p, i, n_points)
-        new = float(gap.max() - gap.min())
-        done = abs(new - est) <= 0.01 * abs(new)
-        est = new
-        if done:
-            break
-    return est
+    return _ng_spread(p, lambda w: w[j] - w[i])
 
 
 def anharmonicity(s: TransmonSolution) -> float:

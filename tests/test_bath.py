@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from fieldcqed.bath import (
     BathDiscretization,
@@ -14,8 +15,9 @@ from fieldcqed.bath import (
     global_mode_frequencies,
     normal_mode_spectrum,
     port_continuum,
+    _completion_term,
 )
-from fieldcqed.errors import ContractViolationError, ModelError
+from fieldcqed.errors import ContractViolationError, ModelError, NumericError
 
 A = InterfaceClosure.PMC_CAVITY_PEC_PORT
 B = InterfaceClosure.PEC_CAVITY_PMC_PORT
@@ -311,3 +313,50 @@ def test_global_oracle_frequencies():
     part = make_partition(A, l=1.0, c=2.0, total=8.0)
     freqs = global_mode_frequencies(part, 3)
     assert np.allclose(freqs, np.array([1, 2, 3]) * np.pi / 4.0, rtol=1e-14)
+
+
+def reference_decay(bath, k, t, lam, boundary_completion=True):
+    """Cavity population and norm as decay_simulation computed them before
+    it went through qops.spectrum: its own eigh of the one-excitation
+    Hamiltonian and a complex product with the eigenvectors."""
+    cavity = bath.cavity
+    k_cav = cavity.n_modes
+    dim = k_cav + bath.n_bins
+    h = np.zeros((dim, dim))
+    h[:k_cav, :k_cav] = np.diag(cavity.freqs)
+    h[k_cav:, k_cav:] = np.diag(bath.omega_grid)
+    h[:k_cav, k_cav:] = lam * bath.W
+    h[k_cav:, :k_cav] = lam * bath.W.T
+    if boundary_completion:
+        block, coeff, v = _completion_term(bath)
+        h[block, block] += lam**2 * coeff * np.outer(v, v)
+    evals, vecs = eigh(h)
+    c0 = vecs[k, :].conj()
+    amps = vecs @ (np.exp(-1j * np.outer(evals, t)) * c0[:, None])
+    return np.sum(np.abs(amps[:k_cav, :]) ** 2, axis=0), np.linalg.norm(amps, axis=0)
+
+
+@pytest.mark.parametrize("bc, k, lam", [(A, 2, 0.224), (B, 1, 0.3)])
+def test_decay_matches_inline_eigh_reference(bc, k, lam):
+    part = make_partition(bc)
+    cavity = cavity_modes_1d(part, 20)
+    bath = commensurate_bath(part, cavity, 400)
+    t = np.linspace(0.0, 30.0, 301)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        traj = decay_simulation(bath, k, t, coupling_scale=lam)
+    pop, norm = reference_decay(bath, k, t, lam)
+    assert np.max(np.abs(traj.series["cavity_population"] - pop)) < 1e-12
+    assert np.max(np.abs(traj.series["norm"] - norm)) < 1e-12
+
+
+def test_overflowing_coupling_scale_is_a_numeric_error():
+    part = make_partition(A)
+    cavity = cavity_modes_1d(part, 4)
+    bath = commensurate_bath(part, cavity, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="coupling_scale"):
+            normal_mode_spectrum(cavity, bath, coupling_scale=1e200)
+        with pytest.raises(NumericError):
+            decay_simulation(bath, 0, np.linspace(0.0, 1.0, 8), coupling_scale=1e200)

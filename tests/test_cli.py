@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from fieldcqed import cli
+from fieldcqed import dynamics as dyn
+from fieldcqed import transmon as tq
 from fieldcqed.checks import CheckResult
 from fieldcqed.errors import ConfigError
 
@@ -145,6 +148,20 @@ class TestMainExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("config error: ")
         assert not out.exists() or not any(out.iterdir())
 
+    def test_overflowing_coupling_scale_returns_three(self, tmp_path, capsys):
+        payload = {"mode": "bath",
+                   "bath": {"cavity_length": 1.0, "wave_speed": 1.0,
+                            "coupling_scale": 1e200},
+                   "time_grid": {"t_max": 1.0, "n_points": 11}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bath", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not any(out.iterdir())
+
     def test_check_failure_returns_four(self, tmp_path, monkeypatch, capsys):
         def fake_run_all(progress=None):
             return ({"stub": [CheckResult("always fails", False, 2.0, 1.0)]},
@@ -226,6 +243,43 @@ class TestOutputs:
                                     "sin_phi_expect")
         assert np.allclose(data["norm"], 1.0, atol=1e-12)
         assert np.ptp(data["n_expect"]) > 0.1
+
+    EVOLVE = {"mode": "evolve", "transmon": {"E_C": 0.3, "E_J": 15, "n_g": 0.2},
+              "time_grid": {"t_max": 1.0, "n_points": 2001}, "initial_levels": [0, 1, 2]}
+
+    def test_evolve_runs_one_evolution(self, tmp_path, monkeypatch):
+        calls = []
+        real_evolve = dyn.evolve
+        monkeypatch.setattr(dyn, "evolve", lambda *a, **k: calls.append(1) or real_evolve(*a, **k))
+        cfg = write_config(tmp_path, self.EVOLVE)
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    def test_evolve_outputs_match_two_evolution_path(self, tmp_path):
+        """The Ehrenfest residual taken from the run's own trajectory writes
+        the same bytes as evolving a second time in ehrenfest_check."""
+        cfg = cli.parse_config(json.dumps(self.EVOLVE))
+        p = cli._transmon_params(cfg.transmon)
+        s = tq.solve(p)
+        psi0 = dyn.StateVector.from_amplitudes(np.sum(s.eigvecs[:, [0, 1, 2]], axis=1))
+        t = np.linspace(0.0, 1.0, 2001)
+        traj = dyn.evolve(tq.build_charge_hamiltonian(p), psi0, t, observables={
+            "n_expect": tq.charge_number_op(p.n_cutoff),
+            "sin_phi_expect": tq.sin_phi_op(p.n_cutoff, p.sign),
+        })
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        cols = ["time", "norm", "energy", "n_expect", "sin_phi_expect"]
+        cli._write_csv(ref / "evolution.csv", cols, zip(t, *(traj.series[c] for c in cols[1:])))
+        cli._summary(ref, cfg, ["evolution.csv"], {
+            "ehrenfest_residual": float(dyn.ehrenfest_check(p, psi0, t)),
+            "norm_drift": float(np.max(np.abs(traj.series["norm"] - 1.0))),
+        })
+        out = tmp_path / "out"
+        assert cli.main(["evolve", "--config", write_config(tmp_path, self.EVOLVE),
+                         "--out", str(out)]) == 0
+        for name in ("evolution.csv", "summary.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
 
     def test_bath_spectrum_against_encoded_universe(self, tmp_path):
         payload = {"mode": "bath",

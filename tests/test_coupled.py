@@ -209,6 +209,12 @@ class TestBuildHamiltonian:
         with pytest.raises(CapacityError):
             build_full_hamiltonian(ts, modes, CouplingSpec(1.0, 0.0), 3, (2048,))
 
+    def test_assembled_operators_are_real(self):
+        ts, line, _, modes = make_system(n_modes=2)
+        built = build_full_hamiltonian(ts, modes, CouplingSpec(0.7, 0.3 * line.length), 3, (3, 2))
+        assert built.matrix.mat.dtype == np.float64
+        assert total_excitation_op(built).mat.dtype == np.float64
+
     def test_basis_state_energies(self):
         ts, _, _, modes = make_system(n_modes=2)
         cs = CouplingSpec(beta=1.0, z0=0.0, path_gain=0.0)

@@ -17,7 +17,9 @@ from fieldcqed import (
     number_op,
     tensor_product,
 )
-from fieldcqed.qops import Spectrum, _is_hermitian
+from fieldcqed import qops
+from fieldcqed.qops import MAX_DIM, Spectrum, _is_hermitian, spectrum
+from fieldcqed.transmon import sin_phi_op
 
 
 def random_hermitian(dim, seed):
@@ -189,7 +191,7 @@ class TestEvolveStep:
         psi = random_state(40, 18)
         real = evolve_step(h, psi, 2.3).amps
         # the same matrix through the complex hermitian solver
-        complex_path = Spectrum(*eigh(h.mat), h.mat).propagate(psi.amps, [2.3])[:, 0]
+        complex_path = Spectrum(*eigh(h.mat.astype(complex))).propagate(psi.amps, [2.3])[:, 0]
         complex_path /= np.linalg.norm(complex_path)
         assert np.linalg.norm(real - complex_path) < 1e-12
 
@@ -211,3 +213,58 @@ class TestExpectation:
         n = number_op(6)
         psi = StateVector.basis_state(6, 4)
         assert expectation(n, psi) == pytest.approx(4.0, abs=1e-15)
+
+
+class TestStorageDtype:
+    @pytest.mark.parametrize("mat", [
+        [[1, 2], [2, 1]],
+        np.array([[0.5, 1.0], [1.0, -2.0]], dtype=np.float32),
+        np.diag([1.0, 2.0, 3.0]),
+        np.array([[1.0, 2.0], [2.0, 0.0]], dtype=complex),
+    ], ids=["int", "float32", "float64", "complex-zero-imag"])
+    def test_real_input_stored_as_float64(self, mat):
+        op = Operator(mat, hermitian=True)
+        assert op.mat.dtype == np.float64
+        assert np.array_equal(op.mat, np.asarray(mat, dtype=complex).real)
+
+    def test_complex_input_stays_complex(self):
+        assert sin_phi_op(4).mat.dtype == np.complex128
+        assert random_hermitian(9, 41).mat.dtype == np.complex128
+
+    def test_arithmetic_keeps_real_operators_real(self):
+        n = number_op(4)
+        assert (2.5 * n).mat.dtype == np.float64 and (2.5 * n).hermitian
+        assert (n - identity_op(4)).mat.dtype == np.float64
+        assert tensor_product(n, annihilation_op(3)).mat.dtype == np.float64
+        imag = 1j * n
+        assert imag.mat.dtype == np.complex128 and not imag.hermitian
+
+
+def test_operator_accepts_dimension_beyond_max_dim():
+    # MAX_DIM guards only the products that multiply dimensions
+    # (TestTensorProduct.test_capacity_guard, coupled's test_capacity_guard)
+    assert Operator(np.zeros((MAX_DIM + 1, MAX_DIM + 1))).dim == MAX_DIM + 1
+
+
+def test_solver_failure_is_a_numeric_error(monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    monkeypatch.setattr(qops, "eigh", failing_eigh)
+    with pytest.raises(NumericError, match="did not converge"):
+        spectrum(number_op(3))
+
+
+def test_only_qops_binds_scipy_eigh():
+    """Every eigendecomposition goes through qops.spectrum."""
+    import importlib
+    import pkgutil
+
+    import scipy.linalg
+
+    import fieldcqed
+
+    binders = [info.name for info in pkgutil.iter_modules(fieldcqed.__path__)
+               if any(v is scipy.linalg.eigh
+                      for v in vars(importlib.import_module(f"fieldcqed.{info.name}")).values())]
+    assert binders == ["qops"]
+    assert not any(v is scipy.linalg.eigh for v in vars(fieldcqed).values())

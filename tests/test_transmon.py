@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+from fieldcqed import transmon
 from fieldcqed.errors import ContractViolationError
 from fieldcqed.qops import commutator
 from fieldcqed.transmon import (
@@ -91,6 +93,42 @@ class TestSolve:
             assert v[k].real > 0
             assert abs(v[k].imag) < 1e-14
 
+    def test_eigvecs_are_real(self):
+        s = solve(TransmonParams(0.25, 12.0, ng=0.13))
+        assert s.eigvecs.dtype == np.float64
+
+    def test_mirror_tie_takes_lowest_index_pivot(self):
+        # at n_g = 0 the first excited state is odd: equal magnitudes at
+        # N = -1 and N = +1, opposite signs; the pivot is N = -1
+        p = TransmonParams(1.0, 5.0, ng=0.0, n_cutoff=20)
+        v = solve(p).eigvecs[:, 1]
+        minus_one, plus_one = v[p.n_cutoff - 1], v[p.n_cutoff + 1]
+        assert minus_one > 0 and plus_one < 0
+        assert abs(minus_one + plus_one) < 1e-12
+
+    def test_phase_convention_independent_of_eigensolver(self):
+        """zheevr, dsyevr and dsyevd return each eigenvector with its own
+        sign (or phase) and rounding; once phase-fixed they agree.  Levels
+        whose gap to a neighbour is below 1e-6 of the spectral scale have an
+        ill-defined eigenvector and are left out."""
+        compared = 0
+        for ratio in (1.0, 3.0, 15.0, 50.0, 100.0):
+            for ng in (0.0, 0.25, 0.5, 1.0):
+                for sign in TunnelingSign:
+                    h = build_charge_hamiltonian(TransmonParams(1.0, ratio, ng, sign=sign)).mat
+                    runs = [eigh(h.astype(complex)), eigh(h, driver="evr"), eigh(h, driver="evd")]
+                    w = runs[0][0]
+                    fixed = [transmon._fix_phases(vecs) for _, vecs in runs]
+                    for lvl in range(4):
+                        gap = min(w[lvl + 1] - w[lvl], w[lvl] - w[lvl - 1] if lvl else np.inf)
+                        if gap < 1e-6 * np.abs(w).max():
+                            continue
+                        compared += 1
+                        for other in fixed[1:]:
+                            assert np.max(np.abs(other[:, lvl] - fixed[0][:, lvl])) < 1e-9, \
+                                (ratio, ng, sign, lvl)
+        assert compared == 156
+
     def test_ng_symmetries(self):
         base = solve(TransmonParams(1.0, 30.0, ng=0.21)).levels[:6]
         shifted = solve(TransmonParams(1.0, 30.0, ng=1.21)).levels[:6]
@@ -146,6 +184,15 @@ class TestDispersion:
         w01 = solve(p).transition(0, 1)
         assert dt / w01 < 1e-5
         assert dt >= 0.0
+
+    def test_transition_dispersion_solves_each_grid_point_once(self, monkeypatch):
+        # grids of 21, 41, 81, ... points; one solve per point serves both levels
+        calls = []
+        real_solve = transmon.solve
+        monkeypatch.setattr(transmon, "solve", lambda p: calls.append(p.ng) or real_solve(p))
+        p = TransmonParams(1.0, 5.0)
+        assert transition_dispersion(p, 0, 1) > 0.0
+        assert len(calls) in np.cumsum([21, 41, 81, 161, 321])[1:]
 
 
 class TestAnharmonicity:
