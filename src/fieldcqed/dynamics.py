@@ -22,6 +22,7 @@ from .transmon import (
     build_charge_hamiltonian,
     charge_number_op,
     sin_phi_op,
+    solve,
 )
 
 # populations per basis label are recorded automatically up to this dimension
@@ -136,18 +137,21 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
     f, v = float(s0.phi), float(s0.n)
     phi[0], n[0] = f, v
     energy[0] = 4.0 * p.EC * (v - p.ng) ** 2 - p.EJ * math.cos(f)
-    sin, cos = math.sin, math.cos
+    sin = math.sin
     half = 0.5 * dt
     ej = p.EJ
     ng = p.ng
+    # the closing half-kick of one step is the opening half-kick of the next
+    kick = ej * sin(f) * half
     for k in range(1, n_steps + 1):
-        v -= ej * sin(f) * half
+        v -= kick
         f += ec8 * (v - ng) * dt
-        v -= ej * sin(f) * half
+        kick = ej * sin(f) * half
+        v -= kick
         if not -1e150 < f < 1e150:
             raise StepSizeError(f"trajectory diverged at step {k}; reduce dt")
         phi[k], n[k] = f, v
-        energy[k] = 4.0 * p.EC * (v - ng) ** 2 - ej * cos(f)
+    energy[1:] = 4.0 * p.EC * (n[1:] - ng) ** 2 - ej * np.cos(phi[1:])
     e0 = energy[0]
     e_scale = abs(e0) if abs(e0) > 1e-12 * (p.EJ + 4 * p.EC) else (p.EJ + 4 * p.EC)
     worst = float(np.max(np.abs(energy - e0)))
@@ -187,7 +191,7 @@ def ehrenfest_residual(p: TransmonParams, times, n_expect, sin_phi) -> float:
         raise ContractViolationError(
             f"the centered derivative needs at least 3 time points, got {t.size}")
     dt = _uniform_dt(t)
-    evals = np.linalg.eigvalsh(build_charge_hamiltonian(p).mat)
+    evals = solve(p).levels
     spread = float(evals[-1] - evals[0])
     if dt * spread > 0.5:
         warnings.warn(

@@ -1,5 +1,6 @@
-"""Dense operator and state primitives, and the one spectral core that
-every exact propagation goes through.
+"""Dense operator and state primitives, and the spectral core that every
+eigendecomposition goes through: :func:`spectrum` for dense hermitian
+operators and :func:`tridiagonal_spectrum` for the charge-basis transmon.
 
 Internally hbar = 1: Hamiltonians are expressed in angular-frequency units
 and time in the inverse units, so ``exp(-i H t)`` needs no extra constants.
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import (
     CapacityError,
@@ -242,13 +243,14 @@ class Spectrum:
 def spectrum(h: Operator) -> Spectrum:
     """Eigendecomposition of the hermitian operator ``h``.
 
-    Every eigendecomposition in the package goes through here: ``evolve``,
-    ``evolve_step``, ``transmon.solve`` and ``bath.decay_simulation``.
-    Hermiticity is checked unless ``h.hermitian`` already asserts it.  A
-    real operator (every charge, coupled and bath Hamiltonian this package
-    builds) goes to the real-symmetric divide-and-conquer solver, several
-    times faster than the complex one; complex operators keep the complex
-    hermitian solver.  A LAPACK failure is raised as NumericError.
+    Every dense eigendecomposition in the package goes through here:
+    ``evolve``, ``evolve_step`` and ``bath.decay_simulation``
+    (``transmon.solve`` takes :func:`tridiagonal_spectrum`).  Hermiticity
+    is checked unless ``h.hermitian`` already asserts it.  A real operator
+    (every charge, coupled and bath Hamiltonian this package builds) goes
+    to the real-symmetric divide-and-conquer solver, several times faster
+    than the complex one; complex operators keep the complex hermitian
+    solver.  A LAPACK failure is raised as NumericError.
     """
     if not h.hermitian and not _is_hermitian(h.mat):
         raise ContractViolationError("evolution requires a hermitian generator")
@@ -256,6 +258,27 @@ def spectrum(h: Operator) -> Spectrum:
         evals, vecs = eigh(h.mat, driver="evd" if np.isrealobj(h.mat) else None)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition of dimension {h.dim} failed: {exc}") from exc
+    return Spectrum(evals, vecs)
+
+
+def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> Spectrum:
+    """Eigendecomposition of the real symmetric tridiagonal matrix with
+    main diagonal ``diag`` and first off-diagonal ``off``.
+
+    It runs LAPACK ``stevd``, the divide-and-conquer step that the dense
+    ``evd`` solver of :func:`spectrum` runs after reducing a matrix to
+    tridiagonal form; on a matrix that is tridiagonal already the reduction
+    is the identity, so both return the same eigenpairs.  Non-finite bands
+    and LAPACK failures are raised as NumericError.
+    """
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(off, dtype=float)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise NumericError("tridiagonal matrix contains non-finite entries")
+    try:
+        evals, vecs = eigh_tridiagonal(d, e, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition of dimension {d.size} failed: {exc}") from exc
     return Spectrum(evals, vecs)
 
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from fieldcqed import cli
 from fieldcqed import dynamics as dyn
@@ -192,6 +193,25 @@ class TestOutputs:
         assert cli.main(["transmon", "--config", cfg, "--out", str(out2)]) == 0
         for name in ("transmon_levels.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("ratio", [2.0, 17.0, 64.0])
+    def test_levels_csv_matches_dense_reference(self, tmp_path, ratio, sign):
+        """The sweep's levels, byte for byte, against rows formatted from a
+        dense divide-and-conquer eigensolve of the assembled Hamiltonian."""
+        block = {"E_C": 0.3, "E_J": 0.3 * ratio, "n_cutoff": 20, "tunneling_sign": sign}
+        payload = {"mode": "transmon", "transmon": block,
+                   "sweep": {"start": 0.0, "stop": 1.0, "n_points": 41}}
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["transmon", "--config", cfg, "--out", str(tmp_path)]) == 0
+        tsign = tq.TunnelingSign(sign)
+        lines = ["n_g,level,omega"]
+        for ng in np.linspace(0.0, 1.0, 41):
+            p = tq.TransmonParams(0.3, 0.3 * ratio, float(ng), 20, tsign)
+            w, _ = eigh(tq.build_charge_hamiltonian(p).mat, driver="evd")
+            lines += [f"{ng:.17g},{lvl},{w[lvl]:.17g}" for lvl in range(4)]
+        expected = ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / "transmon_levels.csv").read_bytes() == expected
 
     def test_csv_round_trips(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL_TRANSMON)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -141,7 +143,60 @@ class TestEvolve:
             evolve(bad, StateVector.basis_state(2, 0), np.linspace(0, 1, 5))
 
 
+def reference_leapfrog(p, s0, t):
+    """The leapfrog as first written, two sin and one cos per step: the
+    reference for the carried half-kick and the vectorised energy.  Returns
+    (phi, n, energy) or raises StepSizeError on divergence."""
+    dt = float(np.diff(t).mean())
+    phi, n, energy = np.empty(t.size), np.empty(t.size), np.empty(t.size)
+    f, v = float(s0.phi), float(s0.n)
+    phi[0], n[0] = f, v
+    energy[0] = 4.0 * p.EC * (v - p.ng) ** 2 - p.EJ * math.cos(f)
+    for k in range(1, t.size):
+        v -= p.EJ * math.sin(f) * 0.5 * dt
+        f += 8.0 * p.EC * (v - p.ng) * dt
+        v -= p.EJ * math.sin(f) * 0.5 * dt
+        if not -1e150 < f < 1e150:
+            raise StepSizeError(f"trajectory diverged at step {k}; reduce dt")
+        phi[k], n[k] = f, v
+        energy[k] = 4.0 * p.EC * (v - p.ng) ** 2 - p.EJ * math.cos(f)
+    return phi, n, energy
+
+
 class TestClassicalTrajectory:
+    @pytest.mark.parametrize("ec, ej, ng, phi0, n0, t_max, n_points", [
+        (1.0, 100.0, 0.0, 1.0, 0.0, 5.0, 20001),
+        (1.0, 100.0, 0.0, 3.0, 0.0, 2.0, 5001),
+        (0.7, 0.0, 0.1, 0.3, 2.0, 5.0, 2001),
+        (0.3, 15.0, 0.37, -2.0, 1.5, 20.0, 40001),
+    ])
+    def test_matches_reference_leapfrog(self, ec, ej, ng, phi0, n0, t_max, n_points):
+        p = TransmonParams(EC=ec, EJ=ej, ng=ng)
+        s0 = ClassicalState(phi=phi0, n=n0)
+        t = np.linspace(0.0, t_max, n_points)
+        phi, n, energy = reference_leapfrog(p, s0, t)
+        traj = classical_trajectory(p, s0, t)
+        assert np.array_equal(traj.series["phi"], phi)
+        assert np.array_equal(traj.series["n"], n)
+        scale = traj.metadata["energy_scale"]
+        assert np.max(np.abs(traj.series["energy"] - energy)) <= 1e-12 * scale
+
+    def test_divergence_raises_like_the_reference(self):
+        p = TransmonParams(EC=1.0, EJ=1e200)
+        t = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(StepSizeError, match="diverged at step 1;"):
+            reference_leapfrog(p, ClassicalState(phi=1.0, n=0.0), t)
+        with pytest.raises(StepSizeError, match="diverged at step 1;"):
+            classical_trajectory(p, ClassicalState(phi=1.0, n=0.0), t)
+
+    def test_drift_raises_where_the_reference_drifts(self):
+        p = TransmonParams(EC=1.0, EJ=100.0)
+        t = np.linspace(0, 50, 101)
+        phi, n, energy = reference_leapfrog(p, ClassicalState(phi=1.0, n=0.0), t)
+        assert np.max(np.abs(energy - energy[0])) > 0.01 * abs(energy[0])
+        with pytest.raises(StepSizeError, match="energy drift"):
+            classical_trajectory(p, ClassicalState(phi=1.0, n=0.0), t)
+
     def test_free_rotor(self):
         p = TransmonParams(EC=0.7, EJ=0.0, ng=0.1)
         s0 = ClassicalState(phi=0.3, n=2.0)

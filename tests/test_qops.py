@@ -19,7 +19,7 @@ from fieldcqed import (
 )
 from fieldcqed import qops
 from fieldcqed.qops import MAX_DIM, Spectrum, _is_hermitian, spectrum
-from fieldcqed.transmon import sin_phi_op
+from fieldcqed.transmon import TransmonParams, sin_phi_op, solve
 
 
 def random_hermitian(dim, seed):
@@ -254,8 +254,30 @@ def test_solver_failure_is_a_numeric_error(monkeypatch):
         spectrum(number_op(3))
 
 
+def test_tridiagonal_solver_failure_is_a_numeric_error(monkeypatch):
+    def failing_eigh_tridiagonal(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    monkeypatch.setattr(qops, "eigh_tridiagonal", failing_eigh_tridiagonal)
+    with pytest.raises(NumericError, match="did not converge"):
+        qops.tridiagonal_spectrum(np.arange(3.0), np.ones(2))
+    with pytest.raises(NumericError, match="did not converge"):
+        solve(TransmonParams(1.0, 5.0))
+
+
+def test_tridiagonal_matches_dense_evd():
+    """On a tridiagonal matrix the dense evd solver's reduction is the
+    identity, so it and stevd return the same eigenpairs bit for bit."""
+    rng = np.random.default_rng(7)
+    d, e = rng.normal(size=30), rng.normal(size=29)
+    dense = spectrum(Operator(np.diag(d) + np.diag(e, 1) + np.diag(e, -1), hermitian=True))
+    tri = qops.tridiagonal_spectrum(d, e)
+    assert np.array_equal(tri.evals, dense.evals)
+    assert np.array_equal(tri.vecs, dense.vecs)
+
+
 def test_only_qops_binds_scipy_eigh():
-    """Every eigendecomposition goes through qops.spectrum."""
+    """Every eigendecomposition goes through qops.spectrum or
+    qops.tridiagonal_spectrum."""
     import importlib
     import pkgutil
 
@@ -263,8 +285,9 @@ def test_only_qops_binds_scipy_eigh():
 
     import fieldcqed
 
-    binders = [info.name for info in pkgutil.iter_modules(fieldcqed.__path__)
-               if any(v is scipy.linalg.eigh
-                      for v in vars(importlib.import_module(f"fieldcqed.{info.name}")).values())]
-    assert binders == ["qops"]
-    assert not any(v is scipy.linalg.eigh for v in vars(fieldcqed).values())
+    for solver in (scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal):
+        binders = [info.name for info in pkgutil.iter_modules(fieldcqed.__path__)
+                   if any(v is solver
+                          for v in vars(importlib.import_module(f"fieldcqed.{info.name}")).values())]
+        assert binders == ["qops"], solver.__name__
+        assert not any(v is solver for v in vars(fieldcqed).values())

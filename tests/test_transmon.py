@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from fieldcqed import transmon
-from fieldcqed.errors import ContractViolationError
+from fieldcqed.errors import ContractViolationError, NumericError
 from fieldcqed.qops import commutator
 from fieldcqed.transmon import (
     TransmonParams,
@@ -107,16 +111,17 @@ class TestSolve:
         assert abs(minus_one + plus_one) < 1e-12
 
     def test_phase_convention_independent_of_eigensolver(self):
-        """zheevr, dsyevr and dsyevd return each eigenvector with its own
-        sign (or phase) and rounding; once phase-fixed they agree.  Levels
-        whose gap to a neighbour is below 1e-6 of the spectral scale have an
-        ill-defined eigenvector and are left out."""
+        """zheevr, dsyevr, dsyevd and dstevd return each eigenvector with its
+        own sign (or phase) and rounding; once phase-fixed they agree.
+        Levels whose gap to a neighbour is below 1e-6 of the spectral scale
+        have an ill-defined eigenvector and are left out."""
         compared = 0
         for ratio in (1.0, 3.0, 15.0, 50.0, 100.0):
             for ng in (0.0, 0.25, 0.5, 1.0):
                 for sign in TunnelingSign:
                     h = build_charge_hamiltonian(TransmonParams(1.0, ratio, ng, sign=sign)).mat
-                    runs = [eigh(h.astype(complex)), eigh(h, driver="evr"), eigh(h, driver="evd")]
+                    runs = [eigh(h.astype(complex)), eigh(h, driver="evr"), eigh(h, driver="evd"),
+                            eigh_tridiagonal(np.diag(h), np.diag(h, 1))]
                     w = runs[0][0]
                     fixed = [transmon._fix_phases(vecs) for _, vecs in runs]
                     for lvl in range(4):
@@ -129,6 +134,13 @@ class TestSolve:
                                 (ratio, ng, sign, lvl)
         assert compared == 156
 
+    @pytest.mark.parametrize("field, value", [
+        ("ng", np.nan), ("ng", np.inf), ("ng", -np.inf), ("EJ", np.nan), ("EJ", np.inf)])
+    def test_nonfinite_parameters_are_numeric_errors(self, field, value):
+        p = replace(TransmonParams(1.0, 5.0, ng=0.2), **{field: value})
+        with pytest.raises(NumericError):
+            solve(p)
+
     def test_ng_symmetries(self):
         base = solve(TransmonParams(1.0, 30.0, ng=0.21)).levels[:6]
         shifted = solve(TransmonParams(1.0, 30.0, ng=1.21)).levels[:6]
@@ -136,6 +148,62 @@ class TestSolve:
         scale = np.abs(base).max()
         assert np.allclose(base, shifted, atol=1e-10 * scale, rtol=0)
         assert np.allclose(base, mirrored, atol=1e-10 * scale, rtol=0)
+
+
+@given(ec=st.floats(0.05, 5.0), ratio=st.floats(0.0, 200.0), ng=st.floats(-1.0, 2.0),
+       n_cutoff=st.integers(1, 40), sign=st.sampled_from(TunnelingSign))
+def test_solve_matches_dense_eigh(ec, ratio, ng, n_cutoff, sign):
+    """The tridiagonal solver against a dense eigendecomposition of the
+    assembled charge Hamiltonian.  Eigenvectors are compared after phase
+    fixing, and only where the level's gap to its neighbours exceeds 1e-6
+    of the spectral scale."""
+    p = TransmonParams(ec, ratio * ec, ng, n_cutoff, sign)
+    w, vecs = eigh(build_charge_hamiltonian(p).mat)
+    s = solve(p)
+    scale = np.abs(w).max()
+    assert np.max(np.abs(s.levels - w)) <= 1e-12 * scale
+    ref = transmon._fix_phases(vecs)
+    gaps = np.minimum(np.diff(w, prepend=-np.inf), np.diff(w, append=np.inf))
+    for lvl in np.flatnonzero(gaps > 1e-6 * scale):
+        assert np.max(np.abs(s.eigvecs[:, lvl] - ref[:, lvl])) < 1e-9, lvl
+
+
+def mathieu_levels(ec, ej, ng, n_levels, terms=60):
+    """Lowest transmon levels at n_g = 0 or 1/2 as E_C times the Mathieu
+    characteristic values with q = E_J / (2 E_C) (Koch et al., PRA 76,
+    042319, 2007): even orders a_2n, b_2n+2 at n_g = 0, odd orders a_2n+1,
+    b_2n+1 at n_g = 1/2.  Each symmetry class is the three-term recurrence
+    of its Fourier coefficients (DLMF 28.4), truncated at ``terms`` and
+    diagonalised densely; no charge cutoff enters."""
+    q = ej / (2.0 * ec)
+    m = np.arange(terms, dtype=float)
+    first = np.eye(terms)[0]
+
+    def recurrence(diag, first_off=q):
+        off = np.full(terms - 1, q)
+        off[0] = first_off
+        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+    if ng == 0.0:
+        # A_0 enters the equation of A_2 twice: scale it by sqrt(2)
+        classes = [recurrence((2.0 * m) ** 2, np.sqrt(2.0) * q), recurrence((2.0 * m + 2.0) ** 2)]
+    else:
+        classes = [recurrence((2.0 * m + 1.0) ** 2 + q * first),
+                   recurrence((2.0 * m + 1.0) ** 2 - q * first)]
+    values = np.concatenate([np.linalg.eigvalsh(c) for c in classes])
+    return ec * np.sort(values)[:n_levels]
+
+
+@pytest.mark.parametrize("sign", list(TunnelingSign))
+@pytest.mark.parametrize("ng", [0.0, 0.5])
+@pytest.mark.parametrize("ratio", [1.0, 5.0, 31.05, 100.0])
+def test_levels_match_mathieu_oracle(ratio, ng, sign):
+    # 31.05 puts q in the window where scipy's mathieu_a(3, q) returns a_5
+    ec = 0.3
+    exact = mathieu_levels(ec, ratio * ec, ng, 6)
+    levels = solve(TransmonParams(ec, ratio * ec, ng, 20, sign)).levels[:6]
+    err = np.abs(levels - exact) / np.maximum(np.abs(exact), ec)
+    assert np.all(err < 1e-9), err
 
 
 class TestChargeMatrixElement:
@@ -186,13 +254,37 @@ class TestDispersion:
         assert dt >= 0.0
 
     def test_transition_dispersion_solves_each_grid_point_once(self, monkeypatch):
-        # grids of 21, 41, 81, ... points; one solve per point serves both levels
+        # grids of 21, 41, 81, ... points, each holding the one before; one
+        # solve per distinct point serves both levels and every refinement
         calls = []
         real_solve = transmon.solve
         monkeypatch.setattr(transmon, "solve", lambda p: calls.append(p.ng) or real_solve(p))
         p = TransmonParams(1.0, 5.0)
         assert transition_dispersion(p, 0, 1) > 0.0
-        assert len(calls) in np.cumsum([21, 41, 81, 161, 321])[1:]
+        assert len(calls) in (41, 81, 161, 321)
+        assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 5.0, 50.0])
+    def test_refinement_matches_full_grid_solves(self, ratio):
+        """The parent's refinement, which solved every point of every grid,
+        kept as the reference: reusing the coarse points changes nothing."""
+        p = TransmonParams(1.0, ratio, n_cutoff=10)
+
+        def spread(n_points):
+            vals = [solve(replace(p, ng=ng)).levels[0]
+                    for ng in np.linspace(0.0, 1.0, n_points)]
+            return float(max(vals) - min(vals))
+
+        n_points = 21
+        est = spread(n_points)
+        while n_points < 321:
+            n_points = 2 * n_points - 1
+            new = spread(n_points)
+            done = abs(new - est) <= 0.01 * abs(new)
+            est = new
+            if done:
+                break
+        assert charge_dispersion(p, level=0) == est
 
 
 class TestAnharmonicity:
