@@ -192,10 +192,9 @@ def coupling_coefficients(part: RegionPartition, cavity: CavityModes,
     if part is not cavity.part or part is not bath.part:
         if part != cavity.part or part != bath.part:
             raise ContractViolationError("cavity and bath must share the partition")
-    c = part.wave_speed
+    c = np.float64(part.wave_speed)
     om_k = cavity.freqs
     om_p = bath.omega_grid
-    pref = (c**2 / 2.0) / np.sqrt(np.outer(om_k, om_p))
     if part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
         trace_k = np.array([cavity.value_at_interface(k) for k in range(cavity.n_modes)])
         trace_p = np.array([bath.port_slope_at_interface(p) for p in range(bath.n_bins)])
@@ -204,7 +203,10 @@ def coupling_coefficients(part: RegionPartition, cavity: CavityModes,
         trace_k = np.array([cavity.slope_at_interface(k) for k in range(cavity.n_modes)])
         trace_p = np.array([bath.port_value_at_interface(p) for p in range(bath.n_bins)])
         sign = 1.0
-    w = sign * pref * np.outer(trace_k, trace_p) * np.sqrt(bath.weights)[None, :]
+    # overflow (a huge wave_speed) leaves inf or nan entries, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pref = (c**2 / 2.0) / np.sqrt(np.outer(om_k, om_p))
+        w = sign * pref * np.outer(trace_k, trace_p) * np.sqrt(bath.weights)[None, :]
     if not np.all(np.isfinite(w)):
         raise NumericError("coupling matrix contains non-finite entries")
     return replace(bath, W=w, V=-w, cavity=cavity)

@@ -3,7 +3,9 @@
 Outputs are deterministic: identical configs produce byte-identical files.
 Numbers are written with 17 significant digits, CSV rows end in LF, and
 JSON keys are sorted.  Exit codes: 0 success, 2 config error, 3 numeric or
-model error, 4 check failure.
+model error, 4 check failure.  Runners only compute; ``main`` creates the
+output directory and writes every file after the runner has returned, so a
+run that fails leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -23,19 +26,252 @@ from . import coupled as coupled_mod
 from . import dynamics as dyn
 from . import transmon as tq
 from . import txline as tx
-from .errors import (
-    CapacityError,
-    ConfigError,
-    ContractViolationError,
-    DimensionMismatchError,
-    ModelError,
-    NumericError,
-    StepSizeError,
-)
+from .errors import ConfigError, FieldCqedError
 
-MODES = ("transmon", "modes", "couple", "evolve", "bath", "check")
+UNITS = ("si", "natural")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    mode: str
+    units: str = "natural"
+    out_dir: str = "."
+    transmon: dict = None
+    line: dict = None
+    cross_section: dict = None
+    coupling: dict = None
+    bath: dict = None
+    time_grid: dict = None
+    sweep: dict = None
+    initial_levels: list = None
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """What a runner computed: CSV tables by file name as (header, rows),
+    JSON reports by file name, the summary scalars, and the check verdict."""
+    scalars: dict
+    tables: dict = field(default_factory=dict)
+    reports: dict = field(default_factory=dict)
+    passed: bool = True
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def _write_csv(path: Path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+def _write_json(path: Path, payload: dict):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2))
+        fh.write("\n")
+
+
+def _summary(out_dir: Path, cfg: RunConfig, outputs, scalars: dict):
+    _write_json(out_dir / "summary.json", {
+        "mode": cfg.mode,
+        "units": cfg.units,
+        "outputs": sorted(outputs),
+        "scalars": scalars,
+    })
+
+
+def _transmon_params(block: dict) -> tq.TransmonParams:
+    return tq.TransmonParams(EC=block["E_C"], EJ=block["E_J"],
+                             ng=block.get("n_g", 0.0),
+                             n_cutoff=block.get("n_cutoff", 20),
+                             sign=tq.TunnelingSign(block.get("tunneling_sign", "plus")))
+
+
+def _mode_set(cfg: RunConfig):
+    line = tx.LineParams(cfg.line["L_pul"], cfg.line["C_pul"], cfg.line["length"],
+                         tx.BoundaryCondition(cfg.line.get("boundary", "open-open")))
+    xs = cfg.cross_section or {}
+    if "w" in xs and "d" in xs:
+        xsec = tx.tem_cross_section(xs["w"], xs["d"], xs.get("eps_r", 1.0))
+    else:
+        xsec = tx.matched_cross_section(line, d=xs.get("d", 5e-6))
+    conv = tx.LongitudinalNorm(cfg.line.get("convention", "integral"))
+    modes = tx.compute_modes(line, cfg.line.get("n_modes", 1), conv)
+    return tx.mode_operator_coeffs(modes, xsec)
+
+
+def run_transmon(cfg: RunConfig, verbose: bool) -> RunResult:
+    p0 = _transmon_params(cfg.transmon)
+    n_levels = min(cfg.transmon.get("n_levels", 4), p0.dim)
+    sweep = cfg.sweep or {}
+    ngs = np.linspace(sweep.get("start", 0.0), sweep.get("stop", 1.0),
+                      sweep.get("n_points", 21))
+    rows = []
+    for ng in ngs:
+        s = tq.solve(replace(p0, ng=float(ng)))
+        rows.extend((ng, lvl, s.levels[lvl]) for lvl in range(n_levels))
+    s0 = tq.solve(p0)
+    scalars = {
+        "anharmonicity": float(tq.anharmonicity(s0)),
+        "omega01": float(s0.transition(0, 1)),
+        "charge_element_01": float(abs(tq.charge_matrix_element(s0, 0, 1))),
+        "ground_dispersion": float(tq.charge_dispersion(p0, level=0)),
+    }
+    return RunResult(scalars, {"transmon_levels.csv": (["n_g", "level", "omega"], rows)})
+
+
+def run_modes(cfg: RunConfig, verbose: bool) -> RunResult:
+    modes = _mode_set(cfg)
+    rows = [(l + 1, modes.freqs[l], modes.n_v[l], modes.n_i[l])
+            for l in range(modes.freqs.size)]
+    scalars = {"phase_velocity": float(modes.line.v_p),
+               "omega_1": float(modes.freqs[0])}
+    return RunResult(scalars, {"line_modes.csv": (["mode", "omega", "n_v", "n_i"], rows)})
+
+
+def _coupling_spec(block: dict) -> coupled_mod.CouplingSpec:
+    return coupled_mod.CouplingSpec(
+        beta=block["beta"], z0=block.get("z0", 0.0),
+        include_beta=block.get("include_beta", True),
+        path_gain=block.get("path_gain", 1.0))
+
+
+def run_couple(cfg: RunConfig, verbose: bool) -> RunResult:
+    ts = tq.solve(_transmon_params(cfg.transmon))
+    modes = _mode_set(cfg)
+    cs = _coupling_spec(cfg.coupling)
+    m = min(cfg.transmon.get("n_levels", 3), ts.n_levels)
+    n_modes = modes.freqs.size
+    cutoffs = tuple(cfg.coupling.get("fock_cutoffs", (4,) * n_modes))
+    built = coupled_mod.build_full_hamiltonian(ts, modes, cs, m, cutoffs)
+    rows = [(i, j, l + 1, built.g_table[i, j, l])
+            for i in range(m) for j in range(i + 1, m) for l in range(n_modes)]
+    scalars = {
+        "g_01_mode1": float(built.g_table[0, 1, 0]),
+        "beta_eff": float(cs.beta_eff),
+        "hilbert_dim": int(built.dim),
+    }
+    return RunResult(scalars, {"coupling_strengths.csv": (["i", "j", "mode", "g"], rows)})
+
+
+def run_evolve(cfg: RunConfig, verbose: bool) -> RunResult:
+    p = _transmon_params(cfg.transmon)
+    s = tq.solve(p)
+    levels = cfg.initial_levels or (0, 1)
+    amps = np.sum(s.eigvecs[:, list(levels)], axis=1)
+    psi0 = dyn.StateVector.from_amplitudes(amps)
+    n_points = cfg.time_grid.get("n_points", 1001)
+    t = np.linspace(0.0, cfg.time_grid["t_max"], n_points)
+    h = tq.build_charge_hamiltonian(p)
+    traj = dyn.evolve(h, psi0, t, observables={
+        "n_expect": tq.charge_number_op(p.n_cutoff),
+        "sin_phi_expect": tq.sin_phi_op(p.n_cutoff, p.sign),
+    })
+    scalars = {
+        "ehrenfest_residual": dyn.ehrenfest_residual(
+            p, t, traj.series["n_expect"], traj.series["sin_phi_expect"]),
+        "norm_drift": float(np.max(np.abs(traj.series["norm"] - 1.0))),
+    }
+    cols = ["time", "norm", "energy", "n_expect", "sin_phi_expect"]
+    rows = zip(t, *(traj.series[c] for c in cols[1:]))
+    return RunResult(scalars, {"evolution.csv": (cols, rows)})
+
+
+def run_bath(cfg: RunConfig, verbose: bool) -> RunResult:
+    b = cfg.bath
+    part = bath_mod.RegionPartition(
+        cavity_length=b["cavity_length"], wave_speed=b["wave_speed"],
+        interface_bc=bath_mod.InterfaceClosure(b.get("closure", "pmc-cavity-pec-port")),
+        oracle_total_length=b.get("total_length"))
+    cavity = bath_mod.cavity_modes_1d(part, b.get("n_cavity_modes", 20))
+    n_bins = b.get("n_bins", 200)
+    omega_max = b.get("omega_max",
+                      n_bins * np.pi * part.wave_speed / part.port_length)
+    disc = bath_mod.coupling_coefficients(
+        part, cavity, bath_mod.port_continuum(part, omega_max, n_bins))
+    lam = b.get("coupling_scale", 1.0)
+    completion = b.get("boundary_completion", True)
+    freqs = bath_mod.normal_mode_spectrum(cavity, disc, lam, completion)
+    n_report = min(10, freqs.size)
+    # closed universe the grid actually encodes: grid spacing pi*c/delta
+    # sets the effective port length (equals total_length when commensurate)
+    l_eff = part.cavity_length + np.pi * part.wave_speed / disc.delta_omega
+    exact = np.arange(1, n_report + 1) * np.pi * part.wave_speed / l_eff
+    rows = [(i + 1, freqs[i], exact[i], abs(freqs[i] - exact[i]) / exact[i])
+            for i in range(n_report)]
+    tables = {"bath_spectrum.csv": (["mode", "omega", "omega_global", "rel_err"], rows)}
+    scalars = {"spectrum_rel_err_low5": float(
+        max(abs(freqs[i] - exact[i]) / exact[i] for i in range(min(5, n_report))))}
+    if cfg.time_grid is not None:
+        t = np.linspace(0.0, cfg.time_grid["t_max"],
+                        cfg.time_grid.get("n_points", 601))
+        traj = bath_mod.decay_simulation(disc, b.get("cavity_mode_index", 0), t,
+                                         lam, completion)
+        tables["bath_decay.csv"] = (
+            ["time", "cavity_population", "norm"],
+            zip(t, traj.series["cavity_population"], traj.series["norm"]))
+        for key in ("kappa_fit", "kappa_golden_rule", "recurrence_time"):
+            if key in traj.metadata:
+                scalars[key] = float(traj.metadata[key])
+    return RunResult(scalars, tables)
+
+
+def run_check(cfg: RunConfig, verbose: bool) -> RunResult:
+    progress = (lambda msg: print(msg, file=sys.stderr)) if verbose else None
+    results, scalars = checks.run_all(progress)
+    all_passed = True
+    payload = {}
+    for suite, items in results.items():
+        payload[suite] = [r.as_dict() for r in items]
+        for r in items:
+            tag = "PASS" if r.passed else "FAIL"
+            all_passed &= r.passed
+            print(f"{tag} {suite}: {r.name} (value {r.value:.6g}, bound {r.bound:.6g})")
+    report = {"all_passed": all_passed, "scalars": scalars, "suites": payload}
+    return RunResult(scalars, reports={"checks.json": report}, passed=all_passed)
+
+
+class Subcommand(NamedTuple):
+    run: Callable[[RunConfig, bool], RunResult]
+    blocks: tuple  # config blocks the mode requires
+    help: str
+
+
+SUBCOMMANDS = {
+    "transmon": Subcommand(run_transmon, ("transmon",),
+                           "sweep offset charge and tabulate transmon levels"),
+    "modes": Subcommand(run_modes, ("line",),
+                        "tabulate transmission-line mode frequencies and amplitudes"),
+    "couple": Subcommand(run_couple, ("transmon", "line", "coupling"),
+                         "tabulate transmon-resonator coupling strengths"),
+    "evolve": Subcommand(run_evolve, ("transmon", "time_grid"),
+                         "integrate a transmon state and record observables"),
+    "bath": Subcommand(run_bath, ("bath",),
+                       "partitioned cavity/port spectrum and decay simulation"),
+    "check": Subcommand(run_check, (),
+                        "run the built-in oracle suites and report PASS/FAIL"),
+}
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_POINTS = {"type": "integer", "minimum": 2}
+
+
+def _values(kind) -> dict:
+    return {"enum": [member.value for member in kind]}
+
+
+def _for_mode(mode: str, then: dict, **properties) -> dict:
+    """Apply ``then`` to configs of ``mode`` whose ``properties`` validate.
+    The ``if`` requires the key, so a config without a mode reports only
+    that it is missing."""
+    return {"if": {"required": ["mode"],
+                   "properties": {"mode": {"const": mode}, **properties}},
+            "then": then}
+
 
 _SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -43,8 +279,8 @@ _SCHEMA = {
     "additionalProperties": False,
     "required": ["mode"],
     "properties": {
-        "mode": {"enum": list(MODES)},
-        "units": {"enum": ["si", "natural"]},
+        "mode": {"enum": list(SUBCOMMANDS)},
+        "units": {"enum": list(UNITS)},
         "out_dir": {"type": "string"},
         "transmon": {
             "type": "object",
@@ -55,7 +291,7 @@ _SCHEMA = {
                 "E_J": {"type": "number", "minimum": 0},
                 "n_g": {"type": "number"},
                 "n_cutoff": {"type": "integer", "minimum": 1},
-                "tunneling_sign": {"enum": ["plus", "minus"]},
+                "tunneling_sign": _values(tq.TunnelingSign),
                 "n_levels": {"type": "integer", "minimum": 2},
             },
         },
@@ -67,8 +303,8 @@ _SCHEMA = {
                 "L_pul": _POSITIVE,
                 "C_pul": _POSITIVE,
                 "length": _POSITIVE,
-                "boundary": {"enum": ["open-open", "short-short", "open-short"]},
-                "convention": {"enum": ["integral", "full-length"]},
+                "boundary": _values(tx.BoundaryCondition),
+                "convention": _values(tx.LongitudinalNorm),
                 "n_modes": {"type": "integer", "minimum": 1},
             },
         },
@@ -106,7 +342,7 @@ _SCHEMA = {
                 "cavity_length": _POSITIVE,
                 "wave_speed": _POSITIVE,
                 "total_length": _POSITIVE,
-                "closure": {"enum": ["pmc-cavity-pec-port", "pec-cavity-pmc-port"]},
+                "closure": _values(bath_mod.InterfaceClosure),
                 "n_cavity_modes": {"type": "integer", "minimum": 1},
                 "n_bins": {"type": "integer", "minimum": 8},
                 "omega_max": _POSITIVE,
@@ -121,7 +357,7 @@ _SCHEMA = {
             "required": ["t_max"],
             "properties": {
                 "t_max": _POSITIVE,
-                "n_points": {"type": "integer", "minimum": 2},
+                "n_points": _POINTS,
             },
         },
         "sweep": {
@@ -130,7 +366,7 @@ _SCHEMA = {
             "properties": {
                 "start": {"type": "number"},
                 "stop": {"type": "number"},
-                "n_points": {"type": "integer", "minimum": 2},
+                "n_points": _POINTS,
             },
         },
         "initial_levels": {
@@ -139,43 +375,26 @@ _SCHEMA = {
             "minItems": 1,
         },
     },
+    "allOf": [
+        *(_for_mode(name, {"required": list(sub.blocks)})
+          for name, sub in SUBCOMMANDS.items() if sub.blocks),
+        # the centred Ehrenfest derivative needs a third point; a count that
+        # already fails the general minimum keeps its one message
+        _for_mode("evolve",
+                  {"properties": {"time_grid": {"properties": {"n_points": {"minimum": 3}}}}},
+                  time_grid={"properties": {"n_points": _POINTS}}),
+    ],
 }
 
 _VALIDATOR = jsonschema.Draft202012Validator(_SCHEMA)
 
-_REQUIRED_BLOCKS = {
-    "transmon": ("transmon",),
-    "modes": ("line",),
-    "couple": ("transmon", "line", "coupling"),
-    "evolve": ("transmon", "time_grid"),
-    "bath": ("bath",),
-    "check": (),
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    units: str = "natural"
-    out_dir: str = "."
-    transmon: dict = None
-    line: dict = None
-    cross_section: dict = None
-    coupling: dict = None
-    bath: dict = None
-    time_grid: dict = None
-    sweep: dict = None
-    initial_levels: tuple = None
-
 
 def _cross_field_problems(data: dict) -> list:
+    """The rules JSON Schema cannot state, each comparing one field with
+    another.  Runs on schema-valid configs only, so every block the mode
+    requires is present."""
     mode = data["mode"]
     problems = []
-    for block in _REQUIRED_BLOCKS[mode]:
-        if block not in data:
-            problems.append(f"$: mode '{mode}' requires a '{block}' block")
-    if problems:
-        return problems
     if mode == "couple":
         n_modes = data["line"].get("n_modes", 1)
         cutoffs = data["coupling"].get("fock_cutoffs")
@@ -186,10 +405,6 @@ def _cross_field_problems(data: dict) -> list:
         z0 = data["coupling"].get("z0", 0.0)
         if z0 > data["line"]["length"]:
             problems.append("$.coupling.z0: coupling position lies beyond the line length")
-    if mode == "evolve" and data["time_grid"].get("n_points", 3) < 3:
-        problems.append(
-            "$.time_grid.n_points: mode 'evolve' needs at least 3 points "
-            "for the Ehrenfest derivative")
     if mode in ("transmon", "couple", "evolve"):
         dim = 2 * data["transmon"].get("n_cutoff", 20) + 1
         if data["transmon"].get("n_levels", 2) > dim:
@@ -209,14 +424,21 @@ def _cross_field_problems(data: dict) -> list:
     return problems
 
 
-def _reject_constant(name: str):
-    raise ConfigError([f"{name} is not a valid number: config values must be finite"])
+def _finite(convert):
+    """A JSON number hook that rejects NaN, the infinities and any literal
+    too large for a float (Python's reader turns 1e400 into inf)."""
+    def parse(literal: str):
+        if not np.isfinite(float(literal)):
+            raise ConfigError([f"{literal} is not a valid number: config values must be finite"])
+        return convert(literal)
+    return parse
 
 
 def parse_config(text: str, default_mode: str = None) -> RunConfig:
     """Validate a JSON run configuration, reporting every violation at once."""
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        data = json.loads(text, parse_constant=_finite(float),
+                          parse_float=_finite(float), parse_int=_finite(int))
     except json.JSONDecodeError as exc:
         raise ConfigError([f"line {exc.lineno} column {exc.colno}: {exc.msg}"]) from exc
     if isinstance(data, dict) and "mode" not in data and default_mode is not None:
@@ -230,254 +452,7 @@ def parse_config(text: str, default_mode: str = None) -> RunConfig:
         problems = _cross_field_problems(data)
     if problems:
         raise ConfigError(problems)
-    return RunConfig(
-        mode=data["mode"],
-        units=data.get("units", "natural"),
-        out_dir=data.get("out_dir", "."),
-        transmon=data.get("transmon"),
-        line=data.get("line"),
-        cross_section=data.get("cross_section"),
-        coupling=data.get("coupling"),
-        bath=data.get("bath"),
-        time_grid=data.get("time_grid"),
-        sweep=data.get("sweep"),
-        initial_levels=tuple(data["initial_levels"]) if "initial_levels" in data else None,
-    )
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _write_json(path: Path, payload: dict):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
-
-
-def _summary(out_dir: Path, cfg: RunConfig, outputs, scalars: dict):
-    _write_json(out_dir / "summary.json", {
-        "mode": cfg.mode,
-        "units": cfg.units,
-        "outputs": sorted(outputs),
-        "scalars": scalars,
-    })
-
-
-def _transmon_params(block: dict) -> tq.TransmonParams:
-    sign = (tq.TunnelingSign.MINUS if block.get("tunneling_sign") == "minus"
-            else tq.TunnelingSign.PLUS)
-    return tq.TransmonParams(EC=block["E_C"], EJ=block["E_J"],
-                             ng=block.get("n_g", 0.0),
-                             n_cutoff=block.get("n_cutoff", 20), sign=sign)
-
-
-_BOUNDARY = {
-    "open-open": tx.BoundaryCondition.OPEN_OPEN,
-    "short-short": tx.BoundaryCondition.SHORT_SHORT,
-    "open-short": tx.BoundaryCondition.OPEN_SHORT,
-}
-_CONVENTION = {
-    "integral": tx.LongitudinalNorm.INTEGRAL,
-    "full-length": tx.LongitudinalNorm.FULL_LENGTH,
-}
-
-
-def _line_params(block: dict) -> tx.LineParams:
-    return tx.LineParams(block["L_pul"], block["C_pul"], block["length"],
-                         _BOUNDARY[block.get("boundary", "open-open")])
-
-
-def _mode_set(cfg: RunConfig):
-    line = _line_params(cfg.line)
-    xs = cfg.cross_section or {}
-    if "w" in xs and "d" in xs:
-        xsec = tx.tem_cross_section(xs["w"], xs["d"], xs.get("eps_r", 1.0))
-    else:
-        xsec = tx.matched_cross_section(line, d=xs.get("d", 5e-6))
-    conv = _CONVENTION[cfg.line.get("convention", "integral")]
-    modes = tx.compute_modes(line, cfg.line.get("n_modes", 1), conv)
-    return tx.mode_operator_coeffs(modes, xsec), xsec
-
-
-def run_transmon(cfg: RunConfig, out_dir: Path, verbose: bool) -> bool:
-    p0 = _transmon_params(cfg.transmon)
-    n_levels = min(cfg.transmon.get("n_levels", 4), p0.dim)
-    sweep = cfg.sweep or {}
-    ngs = np.linspace(sweep.get("start", 0.0), sweep.get("stop", 1.0),
-                      sweep.get("n_points", 21))
-    rows = []
-    for ng in ngs:
-        s = tq.solve(replace(p0, ng=float(ng)))
-        rows.extend((ng, lvl, s.levels[lvl]) for lvl in range(n_levels))
-    _write_csv(out_dir / "transmon_levels.csv", ["n_g", "level", "omega"], rows)
-    s0 = tq.solve(p0)
-    scalars = {
-        "anharmonicity": float(tq.anharmonicity(s0)),
-        "omega01": float(s0.transition(0, 1)),
-        "charge_element_01": float(abs(tq.charge_matrix_element(s0, 0, 1))),
-        "ground_dispersion": float(tq.charge_dispersion(p0, level=0)),
-    }
-    _summary(out_dir, cfg, ["transmon_levels.csv"], scalars)
-    return True
-
-
-def run_modes(cfg: RunConfig, out_dir: Path, verbose: bool) -> bool:
-    modes, _ = _mode_set(cfg)
-    rows = [(l + 1, modes.freqs[l], modes.n_v[l], modes.n_i[l])
-            for l in range(modes.freqs.size)]
-    _write_csv(out_dir / "line_modes.csv", ["mode", "omega", "n_v", "n_i"], rows)
-    line = _line_params(cfg.line)
-    scalars = {"phase_velocity": float(line.v_p),
-               "omega_1": float(modes.freqs[0])}
-    _summary(out_dir, cfg, ["line_modes.csv"], scalars)
-    return True
-
-
-def _coupling_spec(block: dict) -> coupled_mod.CouplingSpec:
-    return coupled_mod.CouplingSpec(
-        beta=block["beta"], z0=block.get("z0", 0.0),
-        include_beta=block.get("include_beta", True),
-        path_gain=block.get("path_gain", 1.0))
-
-
-def run_couple(cfg: RunConfig, out_dir: Path, verbose: bool) -> bool:
-    ts = tq.solve(_transmon_params(cfg.transmon))
-    modes, _ = _mode_set(cfg)
-    cs = _coupling_spec(cfg.coupling)
-    m = min(cfg.transmon.get("n_levels", 3), ts.n_levels)
-    n_modes = modes.freqs.size
-    cutoffs = tuple(cfg.coupling.get("fock_cutoffs", (4,) * n_modes))
-    built = coupled_mod.build_full_hamiltonian(ts, modes, cs, m, cutoffs)
-    rows = [(i, j, l + 1, built.g_table[i, j, l])
-            for i in range(m) for j in range(i + 1, m) for l in range(n_modes)]
-    _write_csv(out_dir / "coupling_strengths.csv", ["i", "j", "mode", "g"], rows)
-    scalars = {
-        "g_01_mode1": float(built.g_table[0, 1, 0]),
-        "beta_eff": float(cs.beta_eff),
-        "hilbert_dim": int(built.dim),
-    }
-    _summary(out_dir, cfg, ["coupling_strengths.csv"], scalars)
-    return True
-
-
-def run_evolve(cfg: RunConfig, out_dir: Path, verbose: bool) -> bool:
-    p = _transmon_params(cfg.transmon)
-    s = tq.solve(p)
-    levels = cfg.initial_levels or (0, 1)
-    amps = np.sum(s.eigvecs[:, list(levels)], axis=1)
-    psi0 = dyn.StateVector.from_amplitudes(amps)
-    n_points = cfg.time_grid.get("n_points", 1001)
-    t = np.linspace(0.0, cfg.time_grid["t_max"], n_points)
-    h = tq.build_charge_hamiltonian(p)
-    traj = dyn.evolve(h, psi0, t, observables={
-        "n_expect": tq.charge_number_op(p.n_cutoff),
-        "sin_phi_expect": tq.sin_phi_op(p.n_cutoff, p.sign),
-    })
-    # every scalar before the first file, so a failure leaves no partial output
-    scalars = {
-        "ehrenfest_residual": dyn.ehrenfest_residual(
-            p, t, traj.series["n_expect"], traj.series["sin_phi_expect"]),
-        "norm_drift": float(np.max(np.abs(traj.series["norm"] - 1.0))),
-    }
-    cols = ["time", "norm", "energy", "n_expect", "sin_phi_expect"]
-    rows = zip(t, *(traj.series[c] for c in cols[1:]))
-    _write_csv(out_dir / "evolution.csv", cols, rows)
-    _summary(out_dir, cfg, ["evolution.csv"], scalars)
-    return True
-
-
-def run_bath(cfg: RunConfig, out_dir: Path, verbose: bool) -> bool:
-    b = cfg.bath
-    closure = (bath_mod.InterfaceClosure.PEC_CAVITY_PMC_PORT
-               if b.get("closure") == "pec-cavity-pmc-port"
-               else bath_mod.InterfaceClosure.PMC_CAVITY_PEC_PORT)
-    part = bath_mod.RegionPartition(
-        cavity_length=b["cavity_length"], wave_speed=b["wave_speed"],
-        interface_bc=closure, oracle_total_length=b.get("total_length"))
-    cavity = bath_mod.cavity_modes_1d(part, b.get("n_cavity_modes", 20))
-    n_bins = b.get("n_bins", 200)
-    omega_max = b.get("omega_max",
-                      n_bins * np.pi * part.wave_speed / part.port_length)
-    disc = bath_mod.coupling_coefficients(
-        part, cavity, bath_mod.port_continuum(part, omega_max, n_bins))
-    lam = b.get("coupling_scale", 1.0)
-    completion = b.get("boundary_completion", True)
-    freqs = bath_mod.normal_mode_spectrum(cavity, disc, lam, completion)
-    n_report = min(10, freqs.size)
-    # closed universe the grid actually encodes: grid spacing pi*c/delta
-    # sets the effective port length (equals total_length when commensurate)
-    l_eff = part.cavity_length + np.pi * part.wave_speed / disc.delta_omega
-    exact = np.arange(1, n_report + 1) * np.pi * part.wave_speed / l_eff
-    rows = [(i + 1, freqs[i], exact[i], abs(freqs[i] - exact[i]) / exact[i])
-            for i in range(n_report)]
-    _write_csv(out_dir / "bath_spectrum.csv",
-               ["mode", "omega", "omega_global", "rel_err"], rows)
-    outputs = ["bath_spectrum.csv"]
-    scalars = {"spectrum_rel_err_low5": float(
-        max(abs(freqs[i] - exact[i]) / exact[i] for i in range(min(5, n_report))))}
-    if cfg.time_grid is not None:
-        t = np.linspace(0.0, cfg.time_grid["t_max"],
-                        cfg.time_grid.get("n_points", 601))
-        traj = bath_mod.decay_simulation(disc, b.get("cavity_mode_index", 0), t,
-                                         lam, completion)
-        _write_csv(out_dir / "bath_decay.csv",
-                   ["time", "cavity_population", "norm"],
-                   zip(t, traj.series["cavity_population"], traj.series["norm"]))
-        outputs.append("bath_decay.csv")
-        for key in ("kappa_fit", "kappa_golden_rule", "recurrence_time"):
-            if key in traj.metadata:
-                scalars[key] = float(traj.metadata[key])
-    _summary(out_dir, cfg, outputs, scalars)
-    return True
-
-
-def run_check(cfg: RunConfig, out_dir: Path, verbose: bool) -> bool:
-    progress = (lambda msg: print(msg, file=sys.stderr)) if verbose else None
-    results, scalars = checks.run_all(progress)
-    all_passed = True
-    payload = {}
-    for suite, items in results.items():
-        payload[suite] = [r.as_dict() for r in items]
-        for r in items:
-            tag = "PASS" if r.passed else "FAIL"
-            all_passed &= r.passed
-            print(f"{tag} {suite}: {r.name} (value {r.value:.6g}, bound {r.bound:.6g})")
-    _write_json(out_dir / "checks.json", {
-        "all_passed": all_passed,
-        "scalars": scalars,
-        "suites": payload,
-    })
-    _summary(out_dir, cfg, ["checks.json"], scalars)
-    return all_passed
-
-
-_RUNNERS = {
-    "transmon": run_transmon,
-    "modes": run_modes,
-    "couple": run_couple,
-    "evolve": run_evolve,
-    "bath": run_bath,
-    "check": run_check,
-}
-
-_HELP = {
-    "transmon": "sweep offset charge and tabulate transmon levels",
-    "modes": "tabulate transmission-line mode frequencies and amplitudes",
-    "couple": "tabulate transmon-resonator coupling strengths",
-    "evolve": "integrate a transmon state and record observables",
-    "bath": "partitioned cavity/port spectrum and decay simulation",
-    "check": "run the built-in oracle suites and report PASS/FAIL",
-}
+    return RunConfig(**data)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,15 +461,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON run configuration")
     common.add_argument("--out", metavar="DIR", default=None,
                         help="output directory (default from config, else cwd)")
-    common.add_argument("--units", choices=["si", "natural"], default=None,
+    common.add_argument("--units", choices=UNITS, default=None,
                         help="unit system label recorded in outputs")
     common.add_argument("--verbose", action="store_true")
     parser = argparse.ArgumentParser(
         prog="fieldcqed",
         description="circuit QED field/circuit correspondence toolkit")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for name in MODES:
-        sub.add_parser(name, help=_HELP[name], parents=[common])
+    for name, spec in SUBCOMMANDS.items():
+        sub.add_parser(name, help=spec.help, parents=[common])
     return parser
 
 
@@ -514,18 +489,22 @@ def main(argv=None) -> int:
                 [f"$.mode: config says '{cfg.mode}' but subcommand is '{args.mode}'"])
         if args.units is not None:
             cfg = replace(cfg, units=args.units)
-        out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        ok = _RUNNERS[cfg.mode](cfg, out_dir, args.verbose)
+        result = SUBCOMMANDS[cfg.mode].run(cfg, args.verbose)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except (NumericError, ModelError, StepSizeError, ContractViolationError,
-            CapacityError, DimensionMismatchError) as exc:
+    except FieldCqedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0 if ok else 4
+    out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in result.tables.items():
+        _write_csv(out_dir / name, header, rows)
+    for name, payload in result.reports.items():
+        _write_json(out_dir / name, payload)
+    _summary(out_dir, cfg, [*result.tables, *result.reports], result.scalars)
+    return 0 if result.passed else 4
 
 
 if __name__ == "__main__":

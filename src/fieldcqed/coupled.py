@@ -21,7 +21,7 @@ from scipy.constants import e as elementary_charge
 from scipy.constants import epsilon_0, hbar
 
 from .errors import ContractViolationError, NumericError
-from .qops import MAX_DIM, CapacityError, Operator, StateVector
+from .qops import MAX_DIM, CapacityError, Operator, StateVector, annihilation_op
 from .transmon import TransmonSolution, charge_matrix_element
 from .txline import LongitudinalNorm, ModeSet, TEMCrossSection
 
@@ -151,7 +151,7 @@ def _assemble(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
     # the coupling terms g_l (x) (a_l + a_l^dag) have a zero diagonal, so
     # only they need a Kronecker product; all of it is real
     for l, c in enumerate(cutoffs):
-        a = np.diag(np.sqrt(np.arange(1.0, c)), k=1)
+        a = annihilation_op(c).mat
         before = np.eye(int(np.prod(cutoffs[:l])))
         after = np.eye(int(np.prod(cutoffs[l + 1:])))
         h += np.kron(np.kron(np.kron(g_table[:, :, l], before), a + a.T), after)

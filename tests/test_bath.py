@@ -360,3 +360,14 @@ def test_overflowing_coupling_scale_is_a_numeric_error():
             normal_mode_spectrum(cavity, bath, coupling_scale=1e200)
         with pytest.raises(NumericError):
             decay_simulation(bath, 0, np.linspace(0.0, 1.0, 8), coupling_scale=1e200)
+
+
+@pytest.mark.parametrize("bc", [A, B])
+def test_overflowing_wave_speed_is_a_numeric_error(bc):
+    # c**2 overflows a float; without the guard this raised OverflowError
+    part = make_partition(bc, c=1e200)
+    cavity = cavity_modes_1d(part, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite"):
+            commensurate_bath(part, cavity, 40)

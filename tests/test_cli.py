@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from fieldcqed import cli
+from fieldcqed import bath, cli
 from fieldcqed import dynamics as dyn
 from fieldcqed import transmon as tq
+from fieldcqed import txline as tx
 from fieldcqed.checks import CheckResult
 from fieldcqed.errors import ConfigError
 
@@ -100,6 +103,77 @@ class TestParseConfig:
         cfg = cli.parse_config("{}", default_mode="check")
         assert cfg.mode == "check"
 
+    def test_no_mode_and_no_default_is_one_problem(self):
+        # the per-mode clauses require 'mode' in their 'if', so none of them fires
+        for text in ("{}", json.dumps({"sweep": {"n_points": 5}})):
+            with pytest.raises(ConfigError) as exc:
+                cli.parse_config(text)
+            assert exc.value.problems == ["$: 'mode' is a required property"]
+
+    REQUIRED = [("transmon", "transmon"), ("modes", "line"), ("couple", "transmon"),
+                ("couple", "line"), ("couple", "coupling"), ("evolve", "transmon"),
+                ("evolve", "time_grid"), ("bath", "bath")]
+
+    @pytest.mark.parametrize("mode, block", REQUIRED)
+    def test_each_required_block_is_named(self, mode, block):
+        blocks = {"transmon": {"E_C": 0.3, "E_J": 15},
+                  "line": {"L_pul": 4e-7, "C_pul": 1.6e-10, "length": 0.0125},
+                  "coupling": {"beta": 0.2}, "time_grid": {"t_max": 1.0},
+                  "bath": {"cavity_length": 1.0, "wave_speed": 1.0}}
+        config = {"mode": mode}
+        config.update((b, blocks[b]) for m, b in self.REQUIRED if m == mode and b != block)
+        cli.parse_config(json.dumps(dict(config, **{block: blocks[block]})))
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config(json.dumps(config))
+        assert exc.value.problems == [f"$: '{block}' is a required property"]
+
+    def test_missing_block_reported_with_other_schema_errors(self):
+        bad = {"mode": "couple", "transmon": {"E_C": -1, "E_J": 15},
+               "line": {"L_pul": 4e-7, "C_pul": 1.6e-10, "length": 0.0125}}
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config(json.dumps(bad))
+        assert exc.value.problems == [
+            "$: 'coupling' is a required property",
+            "$.transmon.E_C: -1 is less than or equal to the minimum of 0"]
+
+    @pytest.mark.parametrize("n_points, message", [
+        (2, "2 is less than the minimum of 3"),
+        (1, "1 is less than the minimum of 2"),
+    ])
+    def test_evolve_point_minimum_is_one_problem(self, n_points, message):
+        bad = {"mode": "evolve", "transmon": {"E_C": 0.3, "E_J": 15},
+               "time_grid": {"t_max": 1.0, "n_points": n_points}}
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config(json.dumps(bad))
+        assert exc.value.problems == [f"$.time_grid.n_points: {message}"]
+
+    @pytest.mark.parametrize("block, key, kind", [
+        ("transmon", "tunneling_sign", tq.TunnelingSign),
+        ("line", "boundary", tx.BoundaryCondition),
+        ("line", "convention", tx.LongitudinalNorm),
+        ("bath", "closure", bath.InterfaceClosure),
+    ])
+    def test_enum_strings_are_the_library_values(self, block, key, kind):
+        base = {"transmon": {"mode": "transmon", "transmon": {"E_C": 0.3, "E_J": 15}},
+                "line": {"mode": "modes",
+                         "line": {"L_pul": 4e-7, "C_pul": 1.6e-10, "length": 0.0125}},
+                "bath": {"mode": "bath",
+                         "bath": {"cavity_length": 1.0, "wave_speed": 1.0}}}[block]
+        for member in kind:
+            config = dict(base, **{block: dict(base[block], **{key: member.value})})
+            assert getattr(cli.parse_config(json.dumps(config)), block)[key] == member.value
+        config = dict(base, **{block: dict(base[block], **{key: "other"})})
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config(json.dumps(config))
+        allowed = [member.value for member in kind]
+        assert exc.value.problems == [f"$.{block}.{key}: 'other' is not one of {allowed}"]
+
+    def test_integer_literal_beyond_float_range_is_rejected(self):
+        text = '{"mode": "transmon", "transmon": {"E_C": 0.3, "E_J": 1' + "0" * 400 + "}}"
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config(text)
+        assert exc.value.problems[0].endswith("is not a valid number: config values must be finite")
+
 
 class TestMainExitCodes:
     def test_happy_path_returns_zero(self, tmp_path):
@@ -139,6 +213,8 @@ class TestMainExitCodes:
                  '"coupling_scale": Infinity}}'),
         ("evolve", '{"mode": "evolve", "transmon": {"E_C": 0.3, "E_J": 15}, '
                    '"time_grid": {"t_max": 1.0, "n_points": 2}}'),
+        ("transmon", '{"mode": "transmon", "transmon": {"E_C": 0.3, "E_J": 1e400}}'),
+        ("transmon", '{"mode": "transmon", "transmon": {"E_C": 0.3, "E_J": -1e400}}'),
     ])
     def test_bad_values_fail_as_config_errors(self, tmp_path, capsys, mode, text):
         cfg = tmp_path / "cfg.json"
@@ -147,7 +223,7 @@ class TestMainExitCodes:
         assert cli.main([mode, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error: ")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_overflowing_coupling_scale_returns_three(self, tmp_path, capsys):
         payload = {"mode": "bath",
@@ -161,7 +237,32 @@ class TestMainExitCodes:
             assert cli.main(["bath", "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    def test_overflowing_wave_speed_returns_three(self, tmp_path, capsys):
+        payload = {"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1e200}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bath", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+    def test_failure_after_the_sweep_leaves_no_output(self, tmp_path, capsys):
+        # the level table is computed before the anharmonicity fails (a free
+        # rotor at n_cutoff 1 has only two distinct levels); none of it is written
+        payload = {"mode": "transmon", "transmon": {"E_C": 0.3, "E_J": 0, "n_cutoff": 1}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main(["transmon", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+        out.mkdir()
+        assert cli.main(["transmon", "--config", cfg, "--out", str(out)]) == 3
+        assert list(out.iterdir()) == []
 
     def test_check_failure_returns_four(self, tmp_path, monkeypatch, capsys):
         def fake_run_all(progress=None):
@@ -173,6 +274,8 @@ class TestMainExitCodes:
         assert "FAIL" in out
         report = json.loads((tmp_path / "checks.json").read_text())
         assert report["all_passed"] is False
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["outputs"] == ["checks.json"]
 
     def test_check_pass_prints_and_returns_zero(self, tmp_path, monkeypatch, capsys):
         def fake_run_all(progress=None):
@@ -301,6 +404,18 @@ class TestOutputs:
         for name in ("evolution.csv", "summary.json"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
+    def test_summary_lists_exactly_the_files_written(self, tmp_path):
+        payload = {"mode": "bath",
+                   "bath": {"cavity_length": 1.0, "wave_speed": 1.0, "total_length": 10.0,
+                            "n_cavity_modes": 20, "n_bins": 200, "coupling_scale": 0.3},
+                   "time_grid": {"t_max": 5.0, "n_points": 51}}
+        out = tmp_path / "out"
+        assert cli.main(["bath", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["outputs"] == ["bath_decay.csv", "bath_spectrum.csv"]
+        assert sorted(p.name for p in out.iterdir()) == summary["outputs"] + ["summary.json"]
+
     def test_bath_spectrum_against_encoded_universe(self, tmp_path):
         payload = {"mode": "bath",
                    "bath": {"cavity_length": 1.0, "wave_speed": 1.0,
@@ -313,3 +428,75 @@ class TestOutputs:
         assert np.all(data["rel_err"][:5] < 5e-3)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["scalars"]["spectrum_rel_err_low5"] < 5e-3
+
+
+# Config fuzzer: objects shaped like the schema must either parse or be
+# refused as a ConfigError, never raise anything else.  Half the draws keep
+# to the schema's types and bounds (values at the bounds included), so they
+# reach the cross-field rules and often parse; the other half drop required
+# keys, add unknown ones and put wrong types and non-finite numbers anywhere.
+_ANY = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                 st.floats(), st.lists(st.integers(), max_size=2),
+                 st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+_EDGE_NUMBERS = st.sampled_from([0, 1, 2, -1, 0.0, -0.0, 0.5, 5e-324, 1e-300, 1e300,
+                                 1.7976931348623157e308, -1e300])
+_OFTEN, _SOMETIMES, _RARELY = (st.sampled_from([True] * k + [False] * (8 - k))
+                               for k in (7, 4, 1))
+
+
+def _draw_value(draw, schema: dict, wild: bool):
+    if wild and draw(_RARELY):
+        return draw(_ANY)
+    if "enum" in schema:
+        return draw(st.sampled_from(schema["enum"]))
+    kind = schema.get("type")
+    if kind == "object":
+        required = schema.get("required", ())
+        value = {key: _draw_value(draw, sub, wild) for key, sub in schema["properties"].items()
+                 if draw(_SOMETIMES) or key in required and not (wild and draw(_RARELY))}
+        if wild and draw(_RARELY):
+            value[draw(st.text(max_size=4))] = draw(_ANY)
+        return value
+    if kind == "array":
+        return [_draw_value(draw, schema["items"], wild) for _ in range(draw(st.integers(1, 4)))]
+    if kind == "integer":
+        low = schema.get("minimum", -1)
+        return draw(st.integers() if wild else st.integers(low, low + 6))
+    if kind == "number":
+        if wild:
+            return draw(st.one_of(_EDGE_NUMBERS, st.floats()))
+        return draw(st.floats(min_value=schema.get("minimum", schema.get("exclusiveMinimum")),
+                              max_value=schema.get("maximum"),
+                              exclude_min="exclusiveMinimum" in schema,
+                              allow_nan=False, allow_infinity=False))
+    if kind == "boolean":
+        return draw(st.booleans())
+    return draw(st.text(max_size=8))
+
+
+@st.composite
+def _configs(draw):
+    wild = draw(st.booleans())
+    mode = draw(st.sampled_from([*cli.SUBCOMMANDS, "other", None] if wild else [*cli.SUBCOMMANDS]))
+    blocks = cli.SUBCOMMANDS[mode].blocks if mode in cli.SUBCOMMANDS else ()
+    config = {} if mode is None else {"mode": mode}
+    for name, sub in cli._SCHEMA["properties"].items():
+        if name != "mode" and draw(_OFTEN if name in blocks else _RARELY):
+            config[name] = _draw_value(draw, sub, wild)
+    if wild and draw(_RARELY):
+        config[draw(st.text(max_size=4))] = draw(_ANY)
+    return config
+
+
+class TestConfigFuzz:
+    @given(config=_configs(), default_mode=st.sampled_from([None, *cli.SUBCOMMANDS]))
+    def test_parse_config_returns_a_config_or_raises_config_error(self, config, default_mode):
+        try:
+            cfg = cli.parse_config(json.dumps(config), default_mode=default_mode)
+        except ConfigError as exc:
+            assert exc.problems
+            assert all(isinstance(p, str) and "\n" not in p for p in exc.problems)
+        else:
+            assert isinstance(cfg, cli.RunConfig)
+            assert all(getattr(cfg, block) is not None
+                       for block in cli.SUBCOMMANDS[cfg.mode].blocks)
