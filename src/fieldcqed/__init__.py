@@ -14,6 +14,7 @@ from .bath import (
     port_continuum,
 )
 from .coupled import (
+    MAX_DIM,
     CoupledHamiltonian,
     CouplingSpec,
     build_full_hamiltonian,
@@ -42,18 +43,7 @@ from .errors import (
     NumericError,
     StepSizeError,
 )
-from .qops import (
-    MAX_DIM,
-    Operator,
-    StateVector,
-    annihilation_op,
-    commutator,
-    evolve_step,
-    expectation,
-    identity_op,
-    number_op,
-    tensor_product,
-)
+from .qops import Operator, StateVector, annihilation_op
 from .transmon import (
     TransmonParams,
     TransmonSolution,

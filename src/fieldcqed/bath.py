@@ -333,8 +333,11 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
             2.0 * np.pi * (lam * bath.W[cavity_mode_index, resonant]) ** 2 / bath.delta_omega)
         envelope = np.exp(intercept + slope * t)
         if np.any(pop_cavity - envelope > 0.1):
-            warnings.warn(
-                "cavity population rises above its fitted decay envelope: "
-                "bath truncation too small (recurrence reached)", stacklevel=2)
+            cause = ("bath truncation too small (recurrence reached)"
+                     if t[-1] >= meta["recurrence_time"] else
+                     "the population does not follow an exponential decay through "
+                     "the 0.1-0.9 window, so kappa_fit is unreliable")
+            warnings.warn("cavity population rises above its fitted decay envelope: "
+                          + cause, stacklevel=2)
     return Trajectory(times=t, series={"cavity_population": pop_cavity, "norm": norm},
                       metadata=meta)

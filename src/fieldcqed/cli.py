@@ -2,10 +2,12 @@
 
 Outputs are deterministic: identical configs produce byte-identical files.
 Numbers are written with 17 significant digits, CSV rows end in LF, and
-JSON keys are sorted.  Exit codes: 0 success, 2 config error, 3 numeric or
-model error, 4 check failure.  Runners only compute; ``main`` creates the
-output directory and writes every file after the runner has returned, so a
-run that fails leaves nothing behind.
+JSON keys are sorted.  Exit codes: 0 success, 2 config error (an
+unreadable config file and an output path that is not a directory or
+cannot be written included), 3 numeric or model error, 4 check failure.
+Runners only compute; ``main`` checks the output path before the runner
+runs, then creates the output directory and writes every file after the
+runner has returned, so a run that fails leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def _mode_set(cfg: RunConfig):
     line = tx.LineParams(cfg.line["L_pul"], cfg.line["C_pul"], cfg.line["length"],
                          tx.BoundaryCondition(cfg.line.get("boundary", "open-open")))
     xs = cfg.cross_section or {}
-    if "w" in xs and "d" in xs:
+    if "w" in xs:  # the schema makes w require d
         xsec = tx.tem_cross_section(xs["w"], xs["d"], xs.get("eps_r", 1.0))
     else:
         xsec = tx.matched_cross_section(line, d=xs.get("d", 5e-6))
@@ -315,8 +317,9 @@ _SCHEMA = {
                 "w": _POSITIVE,
                 "d": _POSITIVE,
                 "eps_r": {"type": "number", "minimum": 1},
-                "matched": {"type": "boolean"},
             },
+            # d alone is the gap of the matched section
+            "dependentRequired": {"w": ["d"], "eps_r": ["w"]},
         },
         "coupling": {
             "type": "object",
@@ -489,7 +492,17 @@ def main(argv=None) -> int:
                 [f"$.mode: config says '{cfg.mode}' but subcommand is '{args.mode}'"])
         if args.units is not None:
             cfg = replace(cfg, units=args.units)
+        out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
+        existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError([f"output path {out_dir}: {existing} is not a directory"])
         result = SUBCOMMANDS[cfg.mode].run(cfg, args.verbose)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in result.tables.items():
+            _write_csv(out_dir / name, header, rows)
+        for name, payload in result.reports.items():
+            _write_json(out_dir / name, payload)
+        _summary(out_dir, cfg, [*result.tables, *result.reports], result.scalars)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -497,13 +510,9 @@ def main(argv=None) -> int:
     except FieldCqedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in result.tables.items():
-        _write_csv(out_dir / name, header, rows)
-    for name, payload in result.reports.items():
-        _write_json(out_dir / name, payload)
-    _summary(out_dir, cfg, [*result.tables, *result.reports], result.scalars)
+    except OSError as exc:  # a config or output path the system refuses
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     return 0 if result.passed else 4
 
 

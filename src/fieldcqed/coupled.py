@@ -20,12 +20,16 @@ import numpy as np
 from scipy.constants import e as elementary_charge
 from scipy.constants import epsilon_0, hbar
 
-from .errors import ContractViolationError, NumericError
-from .qops import MAX_DIM, CapacityError, Operator, StateVector, annihilation_op
+from .errors import CapacityError, ContractViolationError, NumericError
+from .qops import Operator, StateVector, annihilation_op
 from .transmon import TransmonSolution, charge_matrix_element
 from .txline import LongitudinalNorm, ModeSet, TEMCrossSection
 
 TWO_E_OVER_HBAR = 2.0 * elementary_charge / hbar
+
+# largest product-basis dimension the builders assemble densely; a single
+# Operator may be larger
+MAX_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -179,10 +183,8 @@ def build_nn_hamiltonian(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
                          m: int, fock_cutoffs) -> CoupledHamiltonian:
     """Coupling restricted to |i - j| = 1 transmon transitions."""
     table = _g_table(partial(coupling_strength, ts, modes, cs), m, modes.n_modes)
-    for i in range(m):
-        for j in range(m):
-            if abs(i - j) != 1:
-                table[i, j, :] = 0.0
+    levels = np.arange(m)
+    table[np.abs(levels[:, None] - levels) != 1] = 0.0
     return _assemble(ts, modes, cs, m, fock_cutoffs, table, tag="nearest-neighbor")
 
 

@@ -5,8 +5,8 @@ operators and :func:`tridiagonal_spectrum` for the charge-basis transmon.
 Internally hbar = 1: Hamiltonians are expressed in angular-frequency units
 and time in the inverse units, so ``exp(-i H t)`` needs no extra constants.
 Operators are stored as dense numpy: float64 when the matrix is real,
-complex128 otherwise.  The capacity limit below keeps runaway tensor
-products from exhausting memory.
+complex128 otherwise.  Products of spaces are built only by
+``coupled._assemble``, which also holds the capacity limit.
 """
 
 from __future__ import annotations
@@ -16,16 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from .errors import (
-    CapacityError,
-    ContractViolationError,
-    DimensionMismatchError,
-    NumericError,
-)
-
-# largest dense dimension a product of spaces may create (tensor_product and
-# the coupled builders); a single Operator may be larger
-MAX_DIM = 4096
+from .errors import ContractViolationError, DimensionMismatchError, NumericError
 
 _HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
@@ -94,35 +85,6 @@ class Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.mat.conj().T, hermitian=self.hermitian)
-
-    def _check_dim(self, other: "Operator"):
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dimensions {self.dim} and {other.dim} differ")
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
-        return Operator(self.mat + other.mat, hermitian=self.hermitian and other.hermitian)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
-        return Operator(self.mat - other.mat, hermitian=self.hermitian and other.hermitian)
-
-    def __mul__(self, scalar) -> "Operator":
-        z = complex(scalar)
-        real = z.imag == 0.0
-        return Operator(self.mat * (z.real if real else z), hermitian=self.hermitian and real)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.mat, hermitian=self.hermitian)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
-        return Operator(self.mat @ other.mat)
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -189,30 +151,6 @@ def annihilation_op(n_max: int) -> Operator:
     return Operator(np.diag(np.sqrt(np.arange(1.0, n_max)), k=1))
 
 
-def number_op(n_max: int) -> Operator:
-    """Photon-number operator diag(0, 1, ..., n_max - 1)."""
-    if n_max < 1:
-        raise DimensionMismatchError("n_max must be at least 1")
-    return Operator(np.diag(np.arange(n_max, dtype=float)), hermitian=True)
-
-
-def tensor_product(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with the left factor varying slowest."""
-    if a.dim * b.dim > MAX_DIM:
-        raise CapacityError(f"tensor product dimension {a.dim * b.dim} exceeds MAX_DIM={MAX_DIM}")
-    return Operator(np.kron(a.mat, b.mat), hermitian=a.hermitian and b.hermitian)
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions {a.dim} and {b.dim} differ")
-    return Operator(a.mat @ b.mat - b.mat @ a.mat)
-
-
-def identity_op(dim: int) -> Operator:
-    return Operator(np.eye(dim), hermitian=True)
-
-
 def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a @ x``.  A real ``a`` times a complex ``x`` runs as one real
     product on the interleaved real and imaginary parts of ``x`` instead of
@@ -243,10 +181,11 @@ class Spectrum:
 def spectrum(h: Operator) -> Spectrum:
     """Eigendecomposition of the hermitian operator ``h``.
 
-    Every dense eigendecomposition in the package goes through here:
-    ``evolve``, ``evolve_step`` and ``bath.decay_simulation``
-    (``transmon.solve`` takes :func:`tridiagonal_spectrum`).  Hermiticity
-    is checked unless ``h.hermitian`` already asserts it.  A real operator
+    Every dense eigendecomposition in the package goes through here, and
+    :meth:`Spectrum.propagate` is the one propagator: ``dynamics.evolve``
+    and ``bath.decay_simulation`` use it (``transmon.solve`` takes
+    :func:`tridiagonal_spectrum`).  Hermiticity is checked unless
+    ``h.hermitian`` already asserts it.  A real operator
     (every charge, coupled and bath Hamiltonian this package builds) goes
     to the real-symmetric divide-and-conquer solver, several times faster
     than the complex one; complex operators keep the complex hermitian
@@ -280,28 +219,6 @@ def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition of dimension {d.size} failed: {exc}") from exc
     return Spectrum(evals, vecs)
-
-
-def evolve_step(h: Operator, psi: StateVector, dt: float) -> StateVector:
-    """Advance ``psi`` by ``exp(-i h dt)`` using the eigendecomposition from
-    :func:`spectrum` (real-symmetric when ``h`` is real).
-
-    The generator must be hermitian; the step is unitary to machine
-    precision, so the norm is preserved to well below 1e-12 per step.
-    """
-    if h.dim != psi.dim:
-        raise DimensionMismatchError(f"operator dim {h.dim} does not match state dim {psi.dim}")
-    out = spectrum(h).propagate(psi.amps, [dt])[:, 0]
-    if not np.all(np.isfinite(out)):
-        raise NumericError("evolution produced non-finite amplitudes")
-    return StateVector(out / np.linalg.norm(out), psi.labels)
-
-
-def expectation(op: Operator, psi: StateVector) -> complex:
-    """Return <psi| op |psi>.  Real to 1e-12 when ``op`` is hermitian."""
-    if op.dim != psi.dim:
-        raise DimensionMismatchError(f"operator dim {op.dim} does not match state dim {psi.dim}")
-    return complex(np.vdot(psi.amps, op.mat @ psi.amps))
 
 
 def expectation_series(mat: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -301,6 +301,20 @@ def test_decay_coarse_bath_warns_of_recurrence():
                          coupling_scale=0.224)
 
 
+def test_decay_without_recurrence_blames_the_fit():
+    # the golden-rule rate exceeds the mode frequency, so the population
+    # stalls near 0.8 long before the bath recurs at 2*pi/delta_omega
+    part = make_partition(A)
+    cavity = cavity_modes_1d(part, 20)
+    bath = commensurate_bath(part, cavity, 200)
+    t = np.linspace(0.0, 1.0, 601)
+    with pytest.warns(UserWarning, match="does not follow an exponential decay") as record:
+        traj = decay_simulation(bath, 0, t)
+    assert not any("recurrence" in str(w.message) for w in record)
+    assert t[-1] < traj.metadata["recurrence_time"]
+    assert traj.metadata["kappa_fit"] < 0.01 * traj.metadata["kappa_golden_rule"]
+
+
 def test_decay_mode_index_bounds():
     part = make_partition(A)
     cavity = cavity_modes_1d(part, 3)

@@ -14,6 +14,8 @@ from fieldcqed import txline as tx
 from fieldcqed.checks import CheckResult
 from fieldcqed.errors import ConfigError
 
+MODES_LINE = {"L_pul": 4e-7, "C_pul": 1.6e-10, "length": 0.0125}
+
 MINIMAL_TRANSMON = {
     "mode": "transmon",
     "transmon": {"E_C": 0.3, "E_J": 15, "n_g": 0, "n_cutoff": 20},
@@ -168,6 +170,11 @@ class TestParseConfig:
         allowed = [member.value for member in kind]
         assert exc.value.problems == [f"$.{block}.{key}: 'other' is not one of {allowed}"]
 
+    def test_matched_cross_section_takes_its_gap_alone(self):
+        cfg = cli.parse_config(json.dumps(
+            {"mode": "modes", "line": MODES_LINE, "cross_section": {"d": 2e-6}}))
+        assert cfg.cross_section == {"d": 2e-6}
+
     def test_integer_literal_beyond_float_range_is_rejected(self):
         text = '{"mode": "transmon", "transmon": {"E_C": 0.3, "E_J": 1' + "0" * 400 + "}}"
         with pytest.raises(ConfigError) as exc:
@@ -224,6 +231,49 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("xsec, problem", [
+        ({"w": 1e-5}, "$.cross_section: 'd' is a dependency of 'w'"),
+        ({"eps_r": 2.0, "d": 1e-6}, "$.cross_section: 'w' is a dependency of 'eps_r'"),
+        ({"matched": False},
+         "$.cross_section: Additional properties are not allowed ('matched' was unexpected)"),
+    ])
+    def test_cross_section_keys_nothing_reads_are_config_errors(self, tmp_path, capsys,
+                                                                 xsec, problem):
+        cfg = write_config(tmp_path, {"mode": "modes", "line": MODES_LINE,
+                                      "cross_section": xsec})
+        out = tmp_path / "out"
+        assert cli.main(["modes", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_output_path_through_a_file_fails_before_the_run(self, tmp_path, capsys,
+                                                             monkeypatch, below):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the runner ran")
+        monkeypatch.setattr(cli.tq, "solve", no_run)
+        cfg = write_config(tmp_path, MINIMAL_TRANSMON)
+        afile = tmp_path / "afile"
+        afile.write_text("kept", encoding="utf-8")
+        out = afile / "sub" if below else afile
+        before = sorted(tmp_path.iterdir())
+        assert cli.main(["transmon", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: output path {out}: {afile} is not a directory\n")
+        assert sorted(tmp_path.iterdir()) == before
+        assert afile.read_text(encoding="utf-8") == "kept"
+
+    def test_write_failure_is_one_config_error_line(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, *args):
+            raise OSError(28, "No space left on device", str(path))
+        monkeypatch.setattr(cli, "_write_csv", full_disk)
+        cfg = write_config(tmp_path, MINIMAL_TRANSMON)
+        out = tmp_path / "out"
+        assert cli.main(["transmon", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: [Errno 28] No space left on device: "
+                       f"'{out / 'transmon_levels.csv'}'\n")
 
     def test_overflowing_coupling_scale_returns_three(self, tmp_path, capsys):
         payload = {"mode": "bath",

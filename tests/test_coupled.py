@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fieldcqed.coupled import (
     TWO_E_OVER_HBAR,
@@ -13,8 +15,7 @@ from fieldcqed.coupled import (
     total_excitation_op,
 )
 from fieldcqed.errors import CapacityError, ContractViolationError
-from fieldcqed.qops import expectation
-from fieldcqed.transmon import TransmonParams, charge_matrix_element, solve
+from fieldcqed.transmon import TransmonParams, TunnelingSign, charge_matrix_element, solve
 from fieldcqed.txline import (
     LineParams,
     LongitudinalNorm,
@@ -169,6 +170,17 @@ class TestBuildHamiltonian:
         scale = np.max(np.abs(full.matrix.mat))
         assert np.allclose(nn.matrix.mat, full.matrix.mat, atol=1e-12 * scale, rtol=0)
 
+    def test_nn_keeps_only_neighbouring_levels(self):
+        # off n_g = 0 the diagonal and |i - j| > 1 charge elements are nonzero
+        ts = solve(TransmonParams(EC=0.3 * GHZ, EJ=5.0 * GHZ, ng=0.23))
+        _, line, _, modes = make_system(n_modes=2)
+        cs = CouplingSpec(beta=0.5, z0=0.3 * line.length)
+        full = build_full_hamiltonian(ts, modes, cs, 4, (3, 3))
+        nn = build_nn_hamiltonian(ts, modes, cs, 4, (3, 3))
+        neighbours = np.abs(np.subtract.outer(np.arange(4), np.arange(4))) == 1
+        assert np.all(full.g_table[~neighbours] != 0.0)
+        assert np.array_equal(nn.g_table, np.where(neighbours[:, :, None], full.g_table, 0.0))
+
     def test_nn_close_to_full_spectrum(self):
         ts, _, _, modes = make_system(ec_ghz=0.2, ej_ghz=10.0)
         cs = CouplingSpec(beta=1.0, z0=0.0)
@@ -221,7 +233,7 @@ class TestBuildHamiltonian:
         built = build_full_hamiltonian(ts, modes, cs, 3, (3, 2))
         for j, ns in [(0, (0, 0)), (2, (1, 1)), (1, (2, 0))]:
             psi = built.basis_state(j, ns)
-            e = expectation(built.matrix, psi).real
+            e = np.vdot(psi.amps, built.matrix.mat @ psi.amps).real
             expected = ts.levels[j] + ns[0] * modes.freqs[0] + ns[1] * modes.freqs[1]
             assert e == pytest.approx(expected, rel=1e-12)
         labels = built.basis_labels()
@@ -273,3 +285,22 @@ class TestFieldReduction:
         r2 = errs[1] / errs[2]
         assert 3.2 < r1 < 4.8
         assert 3.2 < r2 < 4.8
+
+
+@given(ng=st.floats(0.0, 1.0), ratio=st.floats(1.0, 100.0), z_frac=st.floats(0.0, 1.0))
+def test_coupled_spectrum_is_gauge_invariant(ng, ratio, z_frac):
+    """PLUS and MINUS tunneling are related by |N> -> (-1)^N |N>, so the
+    coupled spectrum and the coupling magnitudes agree; the signs of g follow
+    the pivot phase convention and are not compared."""
+    _, line, _, modes = make_system(n_modes=2)
+    cs = CouplingSpec(beta=0.2, z0=z_frac * line.length)
+    built = {}
+    for sign in TunnelingSign:
+        ts = solve(TransmonParams(EC=0.3 * GHZ, EJ=ratio * 0.3 * GHZ, ng=ng, sign=sign))
+        built[sign] = build_full_hamiltonian(ts, modes, cs, 4, (5, 5))
+    plus, minus = built[TunnelingSign.PLUS], built[TunnelingSign.MINUS]
+    e_plus = np.linalg.eigvalsh(plus.matrix.mat)
+    e_minus = np.linalg.eigvalsh(minus.matrix.mat)
+    assert np.max(np.abs(e_plus - e_minus)) <= 1e-12 * np.max(np.abs(e_plus))
+    g_scale = np.max(np.abs(plus.g_table))
+    assert np.max(np.abs(np.abs(plus.g_table) - np.abs(minus.g_table))) <= 1e-12 * g_scale
