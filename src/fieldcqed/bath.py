@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,29 +74,18 @@ class CavityModes:
         return self.freqs.size
 
     def u(self, k: int, z):
-        self._check(k)
         l = self.part.cavity_length
         return np.sqrt(2.0 / l) * np.sin(self.freqs[k] * np.asarray(z, dtype=float) / self.part.wave_speed)
 
-    def value_at_interface(self, k: int) -> float:
-        """u_k(l) in closed form: exactly zero under the PEC cavity closure."""
-        self._check(k)
+    def interface_traces(self) -> tuple:
+        """(u_k(l), du_k/dz at l) for every mode, in closed form: the value
+        is exactly zero under the PEC cavity closure, the slope under PMC."""
         l = self.part.cavity_length
-        if self.part.interface_bc is InterfaceClosure.PEC_CAVITY_PMC_PORT:
-            return 0.0
-        return (-1.0) ** k * np.sqrt(2.0 / l)
-
-    def slope_at_interface(self, k: int) -> float:
-        """du_k/dz at the interface: exactly zero under the PMC cavity closure."""
-        self._check(k)
-        l = self.part.cavity_length
+        sign = (-1.0) ** np.arange(self.n_modes)
+        zero = np.zeros(self.n_modes)
         if self.part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
-            return 0.0
-        return (-1.0) ** (k + 1) * np.sqrt(2.0 / l) * self.freqs[k] / self.part.wave_speed
-
-    def _check(self, k: int):
-        if not 0 <= k < self.n_modes:
-            raise IndexError(f"cavity mode {k} outside [0, {self.n_modes})")
+            return sign * np.sqrt(2.0 / l), zero
+        return zero, -sign * np.sqrt(2.0 / l) * self.freqs / self.part.wave_speed
 
 
 def cavity_modes_1d(part: RegionPartition, n_modes: int) -> CavityModes:
@@ -114,53 +103,66 @@ def cavity_modes_1d(part: RegionPartition, n_modes: int) -> CavityModes:
     return CavityModes(part=part, freqs=freqs)
 
 
+def port_interface_traces(part: RegionPartition, omega_grid: np.ndarray) -> tuple:
+    """(psi_p(l), d psi_p/dz at l) of the delta-normalized port waves on the
+    grid: the value is exactly zero under the PEC port closure, the slope
+    under PMC."""
+    c = part.wave_speed
+    amp = np.sqrt(2.0 / (np.pi * c))
+    zero = np.zeros(omega_grid.size)
+    if part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
+        return zero, amp * omega_grid / c
+    return np.full(omega_grid.size, amp), zero
+
+
+def coupling_coefficients(cavity: CavityModes, omega_grid: np.ndarray,
+                          delta_omega: float) -> np.ndarray:
+    """Boundary-overlap coupling W between the cavity modes and the port bins.
+
+    W_{k,p} = (c^2/2)/sqrt(omega_k omega_p) (u_k' psi_p - u_k psi_p')
+    sqrt(delta-omega) is the interface Wronskian of the two region bases,
+    times the discretization factor; under either closure one of its two
+    products vanishes identically.  The counter-rotating partner is -W.
+    """
+    c = np.float64(cavity.part.wave_speed)
+    u, du = cavity.interface_traces()
+    psi, dpsi = port_interface_traces(cavity.part, omega_grid)
+    # overflow (a huge wave_speed) leaves inf or nan entries, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pref = (c**2 / 2.0) / np.sqrt(np.outer(cavity.freqs, omega_grid))
+        w = pref * (np.outer(du, psi) - np.outer(u, dpsi)) * np.sqrt(delta_omega)
+    if not np.all(np.isfinite(w)):
+        raise NumericError("coupling matrix contains non-finite entries")
+    return w
+
+
 @dataclass(frozen=True)
 class BathDiscretization:
-    """Uniformly discretized port continuum, optionally with couplings.
+    """Uniformly discretized port continuum coupled to a cavity.
 
     Port modes are delta-normalized continuum standing waves; discretized
-    ladder operators absorb sqrt(weight) so continuum delta commutators
-    become Kronecker deltas on the grid.
+    ladder operators absorb sqrt(delta_omega) so continuum delta commutators
+    become Kronecker deltas on the grid.  ``W`` is the cavity-by-bin
+    coupling from ``coupling_coefficients``; build one with
+    ``port_continuum``.
     """
 
-    part: RegionPartition
+    cavity: CavityModes
     omega_grid: np.ndarray
-    weights: np.ndarray
-    omega_max: float
-    W: np.ndarray = None
-    V: np.ndarray = None
-    cavity: CavityModes = None
+    delta_omega: float
+    W: np.ndarray
+
+    @property
+    def part(self) -> RegionPartition:
+        return self.cavity.part
 
     @property
     def n_bins(self) -> int:
         return self.omega_grid.size
 
-    @property
-    def delta_omega(self) -> float:
-        return float(self.weights[0])
 
-    def port_value_at_interface(self, p: int) -> float:
-        """psi_p(l): exactly zero under the PEC port closure."""
-        self._check(p)
-        if self.part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
-            return 0.0
-        return np.sqrt(2.0 / (np.pi * self.part.wave_speed))
-
-    def port_slope_at_interface(self, p: int) -> float:
-        """d psi_p/dz at the interface: exactly zero under the PMC port closure."""
-        self._check(p)
-        c = self.part.wave_speed
-        if self.part.interface_bc is InterfaceClosure.PEC_CAVITY_PMC_PORT:
-            return 0.0
-        return np.sqrt(2.0 / (np.pi * c)) * self.omega_grid[p] / c
-
-    def _check(self, p: int):
-        if not 0 <= p < self.n_bins:
-            raise IndexError(f"bath bin {p} outside [0, {self.n_bins})")
-
-
-def port_continuum(part: RegionPartition, omega_max: float, n_bins: int) -> BathDiscretization:
-    """Uniform frequency grid over (0, omega_max] with equal weights.
+def port_continuum(cavity: CavityModes, omega_max: float, n_bins: int) -> BathDiscretization:
+    """Uniform frequency grid over (0, omega_max], coupled to ``cavity``.
 
     Under the PEC port closure the grid sits at p*delta; under the PMC
     closure it shifts by half a bin, matching the standing-wave ladder a
@@ -170,46 +172,14 @@ def port_continuum(part: RegionPartition, omega_max: float, n_bins: int) -> Bath
         raise ContractViolationError(f"n_bins must be at least 8, got {n_bins}")
     if omega_max <= 0:
         raise ContractViolationError("omega_max must be positive")
-    delta = omega_max / n_bins
+    delta = float(omega_max / n_bins)
     p = np.arange(1, n_bins + 1, dtype=float)
-    if part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
+    if cavity.part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
         grid = p * delta
     else:
         grid = (p - 0.5) * delta
-    return BathDiscretization(
-        part=part, omega_grid=grid, weights=np.full(n_bins, delta), omega_max=float(omega_max))
-
-
-def coupling_coefficients(part: RegionPartition, cavity: CavityModes,
-                          bath: BathDiscretization) -> BathDiscretization:
-    """Fill the boundary-overlap coupling matrices W and V.
-
-    W_{k,p} carries the prefactor (c^2/2)/sqrt(omega_k omega_p), the product
-    of the nonvanishing interface traces (value on one side, slope on the
-    other), and the sqrt(delta-omega) discretization factor.  V is the
-    counter-rotating partner; for real modes it is -W.
-    """
-    if part is not cavity.part or part is not bath.part:
-        if part != cavity.part or part != bath.part:
-            raise ContractViolationError("cavity and bath must share the partition")
-    c = np.float64(part.wave_speed)
-    om_k = cavity.freqs
-    om_p = bath.omega_grid
-    if part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
-        trace_k = np.array([cavity.value_at_interface(k) for k in range(cavity.n_modes)])
-        trace_p = np.array([bath.port_slope_at_interface(p) for p in range(bath.n_bins)])
-        sign = -1.0
-    else:
-        trace_k = np.array([cavity.slope_at_interface(k) for k in range(cavity.n_modes)])
-        trace_p = np.array([bath.port_value_at_interface(p) for p in range(bath.n_bins)])
-        sign = 1.0
-    # overflow (a huge wave_speed) leaves inf or nan entries, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        pref = (c**2 / 2.0) / np.sqrt(np.outer(om_k, om_p))
-        w = sign * pref * np.outer(trace_k, trace_p) * np.sqrt(bath.weights)[None, :]
-    if not np.all(np.isfinite(w)):
-        raise NumericError("coupling matrix contains non-finite entries")
-    return replace(bath, W=w, V=-w, cavity=cavity)
+    return BathDiscretization(cavity=cavity, omega_grid=grid, delta_omega=delta,
+                              W=coupling_coefficients(cavity, grid, delta))
 
 
 def _completion_term(bath: BathDiscretization):
@@ -220,29 +190,27 @@ def _completion_term(bath: BathDiscretization):
     universe leaves behind a rank-one boundary penalty on the other side.
     Returns (slice_in_full_matrix, coefficient, vector).
     """
-    part = bath.part
+    part, cavity = bath.part, bath.cavity
     c = part.wave_speed
-    cavity = bath.cavity
     k_cav = cavity.n_modes
     if part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
         # port basis vanishes at the interface: penalty lands on the cavity
         d_eff = np.pi * c / bath.delta_omega
         coeff = c**2 * (2 * bath.n_bins + 1) / (2.0 * d_eff)
-        v = np.array([cavity.value_at_interface(k) for k in range(k_cav)]) / np.sqrt(cavity.freqs)
-        return slice(0, k_cav), coeff, v
+        return slice(0, k_cav), coeff, cavity.interface_traces()[0] / np.sqrt(cavity.freqs)
     coeff = c**2 * (2 * k_cav + 1) / (2.0 * part.cavity_length)
-    v = np.array([bath.port_value_at_interface(p) for p in range(bath.n_bins)])
-    v = v * np.sqrt(bath.weights) / np.sqrt(bath.omega_grid)
+    psi = port_interface_traces(part, bath.omega_grid)[0]
+    v = psi * np.sqrt(bath.delta_omega) / np.sqrt(bath.omega_grid)
     return slice(k_cav, k_cav + bath.n_bins), coeff, v
 
 
-def _coupled_matrix(cavity: CavityModes, bath: BathDiscretization, lam: float,
-                    boundary_completion: bool, factor: float) -> np.ndarray:
+def _coupled_matrix(bath: BathDiscretization, lam: float, boundary_completion: bool,
+                    factor: float) -> np.ndarray:
     """diag(omega) + factor * (lam W blocks + lam^2 completion term): the
     one-excitation Hamiltonian for factor 1, the classical quadrature block
     for factor 2.  Overflow leaves inf entries, without a warning."""
-    k_cav = cavity.n_modes
-    om = np.concatenate([cavity.freqs, bath.omega_grid])
+    k_cav = bath.cavity.n_modes
+    om = np.concatenate([bath.cavity.freqs, bath.omega_grid])
     m = np.zeros((om.size, om.size))
     with np.errstate(over="ignore", invalid="ignore"):
         m[:k_cav, k_cav:] = lam * bath.W
@@ -255,8 +223,7 @@ def _coupled_matrix(cavity: CavityModes, bath: BathDiscretization, lam: float,
     return m
 
 
-def normal_mode_spectrum(cavity: CavityModes, bath: BathDiscretization,
-                         coupling_scale: float = 1.0,
+def normal_mode_spectrum(bath: BathDiscretization, coupling_scale: float = 1.0,
                          boundary_completion: bool = True) -> np.ndarray:
     """Classical normal-mode frequencies of the coupled quadratic form.
 
@@ -265,11 +232,9 @@ def normal_mode_spectrum(cavity: CavityModes, bath: BathDiscretization,
     waves as the truncations grow.  Without it the truncated form is
     indefinite and a ModelError reports the failure.
     """
-    if bath.W is None:
-        raise ContractViolationError("couplings not filled; call coupling_coefficients first")
     lam = float(coupling_scale)
-    m = _coupled_matrix(cavity, bath, lam, boundary_completion, 2.0)
-    s = np.sqrt(np.concatenate([cavity.freqs, bath.omega_grid]))
+    m = _coupled_matrix(bath, lam, boundary_completion, 2.0)
+    s = np.sqrt(np.concatenate([bath.cavity.freqs, bath.omega_grid]))
     with np.errstate(over="ignore", invalid="ignore"):
         q = s[:, None] * m * s[None, :]
     if not np.all(np.isfinite(q)):
@@ -295,20 +260,20 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
                      boundary_completion: bool = True) -> Trajectory:
     """Single-excitation decay of one cavity mode into the discretized port.
 
-    The counter-rotating V block is dropped (rotating-wave restriction,
+    The counter-rotating -W block is dropped (rotating-wave restriction,
     recorded in metadata), so evolution stays in the one-quantum sector of
     dimension n_cavity_modes + n_bins.  Returns the total cavity population
     P(t) plus a log-linear rate fit over 0.1 < P < 0.9 and the golden-rule
-    rate from the resonant bin for comparison.
+    rate from the resonant bin for comparison.  When the population rises
+    more than 0.1 above the fitted envelope the fit does not hold: a warning
+    names the cause and ``kappa_fit`` is left out of the metadata.
     """
-    if bath.W is None or bath.cavity is None:
-        raise ContractViolationError("couplings not filled; call coupling_coefficients first")
     cavity = bath.cavity
     if not 0 <= cavity_mode_index < cavity.n_modes:
         raise IndexError(f"cavity mode {cavity_mode_index} outside [0, {cavity.n_modes})")
     lam = float(coupling_scale)
     k_cav = cavity.n_modes
-    h = Operator(_coupled_matrix(cavity, bath, lam, boundary_completion, 1.0), hermitian=True)
+    h = Operator(_coupled_matrix(bath, lam, boundary_completion, 1.0), hermitian=True)
     t = np.asarray(t_grid, dtype=float)
     start = np.zeros(h.dim)
     start[cavity_mode_index] = 1.0
@@ -326,7 +291,6 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
     }
     if np.count_nonzero(window) >= 3:
         slope, intercept = np.polyfit(t[window], np.log(pop_cavity[window]), 1)
-        meta["kappa_fit"] = float(-slope)
         resonant = int(np.argmin(np.abs(bath.omega_grid - cavity.freqs[cavity_mode_index])))
         meta["resonant_bin"] = resonant
         meta["kappa_golden_rule"] = float(
@@ -336,8 +300,10 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
             cause = ("bath truncation too small (recurrence reached)"
                      if t[-1] >= meta["recurrence_time"] else
                      "the population does not follow an exponential decay through "
-                     "the 0.1-0.9 window, so kappa_fit is unreliable")
+                     "the 0.1-0.9 window")
             warnings.warn("cavity population rises above its fitted decay envelope: "
-                          + cause, stacklevel=2)
+                          f"{cause}, so kappa_fit is left out", stacklevel=2)
+        else:
+            meta["kappa_fit"] = float(-slope)
     return Trajectory(times=t, series={"cavity_population": pop_cavity, "norm": norm},
                       metadata=meta)

@@ -7,12 +7,14 @@ unreadable config file and an output path that is not a directory or
 cannot be written included), 3 numeric or model error, 4 check failure.
 Runners only compute; ``main`` checks the output path before the runner
 runs, then creates the output directory and writes every file after the
-runner has returned, so a run that fails leaves nothing behind.
+runner has returned, and a write that fails removes what the run wrote,
+so a run that fails leaves nothing behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -84,6 +86,32 @@ def _summary(out_dir: Path, cfg: RunConfig, outputs, scalars: dict):
         "outputs": sorted(outputs),
         "scalars": scalars,
     })
+
+
+def _write_outputs(out_dir: Path, cfg: RunConfig, result: RunResult):
+    """Write every file of ``result`` into ``out_dir``.  On an ``OSError``,
+    remove the files this call was writing and the directories it created,
+    then re-raise; the old contents of an overwritten file are lost."""
+    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    started = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in result.tables.items():
+            started.append(out_dir / name)
+            _write_csv(out_dir / name, header, rows)
+        for name, payload in result.reports.items():
+            started.append(out_dir / name)
+            _write_json(out_dir / name, payload)
+        started.append(out_dir / "summary.json")
+        _summary(out_dir, cfg, [*result.tables, *result.reports], result.scalars)
+    except OSError:
+        for path in started:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        for path in created:  # deepest first
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
 
 
 def _transmon_params(block: dict) -> tq.TransmonParams:
@@ -193,11 +221,10 @@ def run_bath(cfg: RunConfig, verbose: bool) -> RunResult:
     n_bins = b.get("n_bins", 200)
     omega_max = b.get("omega_max",
                       n_bins * np.pi * part.wave_speed / part.port_length)
-    disc = bath_mod.coupling_coefficients(
-        part, cavity, bath_mod.port_continuum(part, omega_max, n_bins))
+    disc = bath_mod.port_continuum(cavity, omega_max, n_bins)
     lam = b.get("coupling_scale", 1.0)
     completion = b.get("boundary_completion", True)
-    freqs = bath_mod.normal_mode_spectrum(cavity, disc, lam, completion)
+    freqs = bath_mod.normal_mode_spectrum(disc, lam, completion)
     n_report = min(10, freqs.size)
     # closed universe the grid actually encodes: grid spacing pi*c/delta
     # sets the effective port length (equals total_length when commensurate)
@@ -497,12 +524,7 @@ def main(argv=None) -> int:
         if not existing.is_dir():
             raise ConfigError([f"output path {out_dir}: {existing} is not a directory"])
         result = SUBCOMMANDS[cfg.mode].run(cfg, args.verbose)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, (header, rows) in result.tables.items():
-            _write_csv(out_dir / name, header, rows)
-        for name, payload in result.reports.items():
-            _write_json(out_dir / name, payload)
-        _summary(out_dir, cfg, [*result.tables, *result.reports], result.scalars)
+        _write_outputs(out_dir, cfg, result)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from fieldcqed import checks
 from fieldcqed.bath import (
-    BathDiscretization,
-    CavityModes,
     InterfaceClosure,
     RegionPartition,
     cavity_modes_1d,
@@ -15,8 +14,11 @@ from fieldcqed.bath import (
     global_mode_frequencies,
     normal_mode_spectrum,
     port_continuum,
+    port_interface_traces,
     _completion_term,
+    _coupled_matrix,
 )
+from fieldcqed.dynamics import Trajectory
 from fieldcqed.errors import ContractViolationError, ModelError, NumericError
 
 A = InterfaceClosure.PMC_CAVITY_PEC_PORT
@@ -28,18 +30,18 @@ def make_partition(bc=A, l=1.0, c=1.0, total=10.0):
                            oracle_total_length=total)
 
 
-def commensurate_bath(part, cavity, n_bins):
+def commensurate_bath(cavity, n_bins):
     # grid spacing chosen so the oracle's port region holds a whole number of bins
+    part = cavity.part
     delta = np.pi * part.wave_speed / part.port_length
-    bath = port_continuum(part, omega_max=n_bins * delta, n_bins=n_bins)
-    return coupling_coefficients(part, cavity, bath)
+    return port_continuum(cavity, omega_max=n_bins * delta, n_bins=n_bins)
 
 
 def oracle_error(bc, n_cavity, n_bins, l=1.0, c=1.0, total=10.0, n_check=5):
     part = make_partition(bc, l, c, total)
     cavity = cavity_modes_1d(part, n_cavity)
-    bath = commensurate_bath(part, cavity, n_bins)
-    freqs = normal_mode_spectrum(cavity, bath)
+    bath = commensurate_bath(cavity, n_bins)
+    freqs = normal_mode_spectrum(bath)
     exact = global_mode_frequencies(part, n_check)
     return np.max(np.abs(freqs[:n_check] - exact) / exact)
 
@@ -56,8 +58,7 @@ def tuned_decay():
         k_idx = 2
         delta = 0.01
         n_bins = int(round(2.5 * cavity.freqs[k_idx] / delta))
-        bath = coupling_coefficients(
-            part, cavity, port_continuum(part, n_bins * delta, n_bins))
+        bath = port_continuum(cavity, n_bins * delta, n_bins)
         t = np.linspace(0.0, 30.0, 601)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -91,51 +92,45 @@ def test_mode_shapes_orthonormal():
 
 
 def test_interface_traces_closed_form():
-    part = make_partition(A, l=2.0)
-    cavity = cavity_modes_1d(part, 4)
-    for k in range(4):
-        assert cavity.slope_at_interface(k) == 0.0
-        assert cavity.value_at_interface(k) == pytest.approx((-1.0) ** k * 1.0, rel=1e-15)
-    part_b = make_partition(B, l=2.0)
-    cavity_b = cavity_modes_1d(part_b, 4)
-    for k in range(4):
-        assert cavity_b.value_at_interface(k) == 0.0
-        expected = (-1.0) ** (k + 1) * cavity_b.freqs[k]
-        assert cavity_b.slope_at_interface(k) == pytest.approx(expected, rel=1e-15)
+    cavity = cavity_modes_1d(make_partition(A, l=2.0), 4)
+    value, slope = cavity.interface_traces()
+    assert np.array_equal(slope, np.zeros(4))
+    assert np.allclose(value, [1.0, -1.0, 1.0, -1.0], rtol=1e-15)
+    cavity_b = cavity_modes_1d(make_partition(B, l=2.0), 4)
+    value_b, slope_b = cavity_b.interface_traces()
+    assert np.array_equal(value_b, np.zeros(4))
+    assert np.allclose(slope_b, (-1.0) ** np.arange(1, 5) * cavity_b.freqs, rtol=1e-15)
 
 
 def test_interface_traces_match_mode_shape():
     part = make_partition(B, l=1.5, c=2.0)
     cavity = cavity_modes_1d(part, 3)
     h = 1e-7
+    _, slope = cavity.interface_traces()
     for k in range(3):
         fd = (cavity.u(k, part.cavity_length) - cavity.u(k, part.cavity_length - h)) / h
-        assert cavity.slope_at_interface(k) == pytest.approx(fd, rel=1e-5)
+        assert slope[k] == pytest.approx(fd, rel=1e-5)
 
 
 def test_port_grid_placement():
     part = make_partition(A)
-    bath = port_continuum(part, omega_max=8.0, n_bins=8)
+    bath = port_continuum(cavity_modes_1d(part, 1), omega_max=8.0, n_bins=8)
     assert np.allclose(bath.omega_grid, np.arange(1.0, 9.0), rtol=1e-14)
-    assert bath.weights.sum() == pytest.approx(8.0, rel=1e-12)
-    offset = port_continuum(make_partition(B), omega_max=8.0, n_bins=8)
+    assert bath.delta_omega * bath.n_bins == pytest.approx(8.0, rel=1e-12)
+    offset = port_continuum(cavity_modes_1d(make_partition(B), 1), omega_max=8.0, n_bins=8)
     assert np.allclose(offset.omega_grid, np.arange(1.0, 9.0) - 0.5, rtol=1e-14)
-    finer = port_continuum(part, omega_max=8.0, n_bins=16)
+    finer = port_continuum(cavity_modes_1d(part, 1), omega_max=8.0, n_bins=16)
     assert finer.delta_omega == pytest.approx(bath.delta_omega / 2)
 
 
 def test_port_interface_traces():
-    part = make_partition(A, c=4.0)
-    bath = port_continuum(part, omega_max=8.0, n_bins=8)
-    for p in range(8):
-        assert bath.port_value_at_interface(p) == 0.0
-    assert bath.port_slope_at_interface(3) == pytest.approx(
-        np.sqrt(2.0 / (np.pi * 4.0)) * bath.omega_grid[3] / 4.0, rel=1e-15)
-    bath_b = port_continuum(make_partition(B, c=4.0), omega_max=8.0, n_bins=8)
-    for p in range(8):
-        assert bath_b.port_slope_at_interface(p) == 0.0
-        assert bath_b.port_value_at_interface(p) == pytest.approx(
-            np.sqrt(2.0 / (np.pi * 4.0)), rel=1e-15)
+    grid = np.arange(1.0, 9.0)
+    value, slope = port_interface_traces(make_partition(A, c=4.0), grid)
+    assert np.array_equal(value, np.zeros(8))
+    assert np.allclose(slope, np.sqrt(2.0 / (np.pi * 4.0)) * grid / 4.0, rtol=1e-15)
+    value_b, slope_b = port_interface_traces(make_partition(B, c=4.0), grid - 0.5)
+    assert np.array_equal(slope_b, np.zeros(8))
+    assert np.allclose(value_b, np.sqrt(2.0 / (np.pi * 4.0)), rtol=1e-15)
 
 
 def test_validation_errors():
@@ -148,51 +143,121 @@ def test_validation_errors():
     assert make_partition(total=None).oracle_total_length == pytest.approx(10.0)
     with pytest.raises(ContractViolationError):
         cavity_modes_1d(make_partition(), 0)
-    part = make_partition()
+    cavity = cavity_modes_1d(make_partition(), 3)
     with pytest.raises(ContractViolationError):
-        port_continuum(part, omega_max=8.0, n_bins=7)
+        port_continuum(cavity, omega_max=8.0, n_bins=7)
     with pytest.raises(ContractViolationError):
-        port_continuum(part, omega_max=0.0, n_bins=8)
-    cavity = cavity_modes_1d(part, 3)
-    with pytest.raises(IndexError):
-        cavity.value_at_interface(3)
-    bath = port_continuum(part, 8.0, 8)
-    with pytest.raises(IndexError):
-        bath.port_slope_at_interface(8)
+        port_continuum(cavity, omega_max=0.0, n_bins=8)
 
 
-def test_coupling_partner_is_negated():
+def test_bath_carries_its_cavity_and_couplings():
     part = make_partition(A)
     cavity = cavity_modes_1d(part, 5)
-    bath = commensurate_bath(part, cavity, 40)
+    bath = commensurate_bath(cavity, 40)
     assert bath.W.shape == (5, 40)
-    assert np.array_equal(bath.V, -bath.W)
     assert bath.cavity is cavity
+    assert bath.part is part
+    assert np.array_equal(
+        bath.W, coupling_coefficients(cavity, bath.omega_grid, bath.delta_omega))
 
 
-def test_coupling_requires_shared_partition():
-    part = make_partition(A)
-    other = make_partition(A, l=2.0)
-    cavity = cavity_modes_1d(other, 3)
-    with pytest.raises(ContractViolationError):
-        coupling_coefficients(part, cavity, port_continuum(part, 8.0, 8))
+# The construction before the bath was built in one step, kept as the
+# reference the one-step construction must reproduce bit for bit: traces
+# one index at a time, W as the signed product of the two nonvanishing
+# traces, and the completion vector from the same per-index traces.
+
+def _ref_cavity_value(cavity, k):
+    if cavity.part.interface_bc is B:
+        return 0.0
+    return (-1.0) ** k * np.sqrt(2.0 / cavity.part.cavity_length)
 
 
-def test_couplings_must_be_filled_first():
-    part = make_partition(A)
-    cavity = cavity_modes_1d(part, 3)
-    bare = port_continuum(part, 8.0, 8)
-    with pytest.raises(ContractViolationError):
-        normal_mode_spectrum(cavity, bare)
-    with pytest.raises(ContractViolationError):
-        decay_simulation(bare, 0, np.linspace(0, 1, 8))
+def _ref_cavity_slope(cavity, k):
+    part = cavity.part
+    if part.interface_bc is A:
+        return 0.0
+    return (-1.0) ** (k + 1) * np.sqrt(2.0 / part.cavity_length) * cavity.freqs[k] / part.wave_speed
+
+
+def _ref_port_value(part, grid, p):
+    if part.interface_bc is A:
+        return 0.0
+    return np.sqrt(2.0 / (np.pi * part.wave_speed))
+
+
+def _ref_port_slope(part, grid, p):
+    c = part.wave_speed
+    if part.interface_bc is B:
+        return 0.0
+    return np.sqrt(2.0 / (np.pi * c)) * grid[p] / c
+
+
+def _ref_coupling(cavity, grid, delta):
+    part = cavity.part
+    c = np.float64(part.wave_speed)
+    weights = np.full(grid.size, delta)
+    if part.interface_bc is A:
+        trace_k = np.array([_ref_cavity_value(cavity, k) for k in range(cavity.n_modes)])
+        trace_p = np.array([_ref_port_slope(part, grid, p) for p in range(grid.size)])
+        sign = -1.0
+    else:
+        trace_k = np.array([_ref_cavity_slope(cavity, k) for k in range(cavity.n_modes)])
+        trace_p = np.array([_ref_port_value(part, grid, p) for p in range(grid.size)])
+        sign = 1.0
+    pref = (c**2 / 2.0) / np.sqrt(np.outer(cavity.freqs, grid))
+    return sign * pref * np.outer(trace_k, trace_p) * np.sqrt(weights)[None, :]
+
+
+def _ref_completion(cavity, grid, delta):
+    part = cavity.part
+    c = part.wave_speed
+    k_cav, n_bins = cavity.n_modes, grid.size
+    if part.interface_bc is A:
+        coeff = c**2 * (2 * n_bins + 1) / (2.0 * (np.pi * c / delta))
+        v = np.array([_ref_cavity_value(cavity, k) for k in range(k_cav)]) / np.sqrt(cavity.freqs)
+        return slice(0, k_cav), coeff, v
+    coeff = c**2 * (2 * k_cav + 1) / (2.0 * part.cavity_length)
+    v = np.array([_ref_port_value(part, grid, p) for p in range(n_bins)])
+    v = v * np.sqrt(np.full(n_bins, delta)) / np.sqrt(grid)
+    return slice(k_cav, k_cav + n_bins), coeff, v
+
+
+def _ref_coupled_matrix(cavity, grid, delta, lam, factor):
+    w = _ref_coupling(cavity, grid, delta)
+    k_cav = cavity.n_modes
+    om = np.concatenate([cavity.freqs, grid])
+    m = np.zeros((om.size, om.size))
+    m[:k_cav, k_cav:] = lam * w
+    m[k_cav:, :k_cav] = lam * w.T
+    block, coeff, v = _ref_completion(cavity, grid, delta)
+    m[block, block] = lam * lam * coeff * np.outer(v, v)
+    m *= factor
+    m[np.diag_indices_from(m)] += om
+    return m
+
+
+@pytest.mark.parametrize("bc", [A, B])
+@pytest.mark.parametrize("l, c, total, n_modes, n_bins", [
+    (1.0, 1.0, 10.0, 20, 200), (0.0125, 1.25e8, 0.125, 7, 333), (2.5, 3.0, 7.0, 1, 8)])
+def test_one_step_bath_matches_reference_construction(bc, l, c, total, n_modes, n_bins):
+    cavity = cavity_modes_1d(make_partition(bc, l, c, total), n_modes)
+    bath = commensurate_bath(cavity, n_bins)
+    grid, delta = bath.omega_grid, bath.delta_omega
+    assert np.array_equal(bath.W, _ref_coupling(cavity, grid, delta))
+    block, coeff, v = _completion_term(bath)
+    ref_block, ref_coeff, ref_v = _ref_completion(cavity, grid, delta)
+    assert block == ref_block and coeff == ref_coeff
+    assert np.array_equal(v, ref_v)
+    for factor in (1.0, 2.0):
+        assert np.array_equal(_coupled_matrix(bath, 0.3, True, factor),
+                              _ref_coupled_matrix(cavity, grid, delta, 0.3, factor))
 
 
 def test_zero_coupling_spectrum_is_plain_union():
     part = make_partition(A)
     cavity = cavity_modes_1d(part, 6)
-    bath = commensurate_bath(part, cavity, 30)
-    freqs = normal_mode_spectrum(cavity, bath, coupling_scale=0.0)
+    bath = commensurate_bath(cavity, 30)
+    freqs = normal_mode_spectrum(bath, coupling_scale=0.0)
     union = np.sort(np.concatenate([cavity.freqs, bath.omega_grid]))
     assert np.allclose(freqs, union, rtol=1e-12)
 
@@ -222,15 +287,15 @@ def test_indefinite_without_boundary_completion():
     for bc in (A, B):
         part = make_partition(bc)
         cavity = cavity_modes_1d(part, 20)
-        bath = commensurate_bath(part, cavity, 200)
+        bath = commensurate_bath(cavity, 200)
         with pytest.raises(ModelError, match="completion"):
-            normal_mode_spectrum(cavity, bath, boundary_completion=False)
+            normal_mode_spectrum(bath, boundary_completion=False)
 
 
 def test_decay_zero_coupling_is_constant():
     part = make_partition(A)
     cavity = cavity_modes_1d(part, 4)
-    bath = commensurate_bath(part, cavity, 40)
+    bath = commensurate_bath(cavity, 40)
     traj = decay_simulation(bath, 0, np.linspace(0.0, 10.0, 101), coupling_scale=0.0)
     assert np.allclose(traj.series["cavity_population"], 1.0, atol=1e-12)
 
@@ -265,8 +330,7 @@ def test_decay_rate_insensitive_to_frequency_cutoff():
     rates = []
     for mult in (1, 2):
         n_bins = int(round(mult * 2.5 * cavity.freqs[1] / delta))
-        bath = coupling_coefficients(
-            part, cavity, port_continuum(part, n_bins * delta, n_bins))
+        bath = port_continuum(cavity, n_bins * delta, n_bins)
         traj = decay_simulation(bath, 1, np.linspace(0.0, 30.0, 601),
                                 coupling_scale=0.224)
         rates.append(traj.metadata["kappa_fit"])
@@ -280,8 +344,7 @@ def test_decay_other_closure_weak_coupling():
     cavity = cavity_modes_1d(part, 1)
     delta = 0.02
     n_bins = int(round(2.5 * cavity.freqs[0] / delta))
-    bath = coupling_coefficients(
-        part, cavity, port_continuum(part, n_bins * delta, n_bins))
+    bath = port_continuum(cavity, n_bins * delta, n_bins)
     traj = decay_simulation(bath, 0, np.linspace(0.0, 120.0, 1301),
                             coupling_scale=0.112)
     ratio = traj.metadata["kappa_fit"] / traj.metadata["kappa_golden_rule"]
@@ -293,12 +356,13 @@ def test_decay_coarse_bath_warns_of_recurrence():
     cavity = cavity_modes_1d(part, 8)
     delta = 0.05
     n_bins = int(round(2.5 * cavity.freqs[1] / delta))
-    bath = coupling_coefficients(
-        part, cavity, port_continuum(part, n_bins * delta, n_bins))
+    bath = port_continuum(cavity, n_bins * delta, n_bins)
     t_rec = 2 * np.pi / delta
     with pytest.warns(UserWarning, match="recurrence"):
-        decay_simulation(bath, 1, np.linspace(0.0, 1.4 * t_rec, 1200),
-                         coupling_scale=0.224)
+        traj = decay_simulation(bath, 1, np.linspace(0.0, 1.4 * t_rec, 1200),
+                                coupling_scale=0.224)
+    assert "kappa_fit" not in traj.metadata
+    assert {"kappa_golden_rule", "resonant_bin", "recurrence_time"} <= traj.metadata.keys()
 
 
 def test_decay_without_recurrence_blames_the_fit():
@@ -306,19 +370,33 @@ def test_decay_without_recurrence_blames_the_fit():
     # stalls near 0.8 long before the bath recurs at 2*pi/delta_omega
     part = make_partition(A)
     cavity = cavity_modes_1d(part, 20)
-    bath = commensurate_bath(part, cavity, 200)
+    bath = commensurate_bath(cavity, 200)
     t = np.linspace(0.0, 1.0, 601)
     with pytest.warns(UserWarning, match="does not follow an exponential decay") as record:
         traj = decay_simulation(bath, 0, t)
     assert not any("recurrence" in str(w.message) for w in record)
     assert t[-1] < traj.metadata["recurrence_time"]
-    assert traj.metadata["kappa_fit"] < 0.01 * traj.metadata["kappa_golden_rule"]
+    assert "kappa_fit" not in traj.metadata
+    assert {"kappa_golden_rule", "resonant_bin", "recurrence_time"} <= traj.metadata.keys()
+
+
+def test_bath_suite_fails_without_a_fit(monkeypatch):
+    # a decay run whose fit did not hold carries no kappa_fit
+    fitless = Trajectory(times=np.linspace(0.0, 1.0, 2), series={},
+                         metadata={"kappa_golden_rule": 0.1, "recurrence_time": 600.0})
+    monkeypatch.setattr(checks, "_bath_oracle_error", lambda n_bins: 0.1 / n_bins)
+    monkeypatch.setattr(checks.bath_mod, "decay_simulation", lambda *a, **k: fitless)
+    results, scalars = checks.bath_suite()
+    rate = results[-1]
+    assert rate.name == "decay rate vs golden rule" and not rate.passed
+    assert np.isnan(rate.value) and np.isnan(scalars["kappa_fit"])
+    assert all(r.passed for r in results[:-1])
 
 
 def test_decay_mode_index_bounds():
     part = make_partition(A)
     cavity = cavity_modes_1d(part, 3)
-    bath = commensurate_bath(part, cavity, 30)
+    bath = commensurate_bath(cavity, 30)
     with pytest.raises(IndexError):
         decay_simulation(bath, 3, np.linspace(0.0, 1.0, 8))
 
@@ -354,7 +432,7 @@ def reference_decay(bath, k, t, lam, boundary_completion=True):
 def test_decay_matches_inline_eigh_reference(bc, k, lam):
     part = make_partition(bc)
     cavity = cavity_modes_1d(part, 20)
-    bath = commensurate_bath(part, cavity, 400)
+    bath = commensurate_bath(cavity, 400)
     t = np.linspace(0.0, 30.0, 301)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -367,11 +445,11 @@ def test_decay_matches_inline_eigh_reference(bc, k, lam):
 def test_overflowing_coupling_scale_is_a_numeric_error():
     part = make_partition(A)
     cavity = cavity_modes_1d(part, 4)
-    bath = commensurate_bath(part, cavity, 40)
+    bath = commensurate_bath(cavity, 40)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="coupling_scale"):
-            normal_mode_spectrum(cavity, bath, coupling_scale=1e200)
+            normal_mode_spectrum(bath, coupling_scale=1e200)
         with pytest.raises(NumericError):
             decay_simulation(bath, 0, np.linspace(0.0, 1.0, 8), coupling_scale=1e200)
 
@@ -384,4 +462,4 @@ def test_overflowing_wave_speed_is_a_numeric_error(bc):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="non-finite"):
-            commensurate_bath(part, cavity, 40)
+            commensurate_bath(cavity, 40)

@@ -275,6 +275,32 @@ class TestMainExitCodes:
         assert err == ("config error: [Errno 28] No space left on device: "
                        f"'{out / 'transmon_levels.csv'}'\n")
 
+    @pytest.mark.parametrize("writer", ["_write_csv", "_write_json"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+    def test_write_failure_removes_what_the_run_wrote(self, tmp_path, capsys, monkeypatch,
+                                                      writer, existing):
+        # transmon writes its CSV first and summary.json last, so a failing
+        # _write_json leaves a finished CSV behind unless the run removes it
+        def full_disk(path, *args):
+            path.write_text("partial", encoding="utf-8")
+            raise OSError(28, "No space left on device", str(path))
+        monkeypatch.setattr(cli, writer, full_disk)
+        cfg = write_config(tmp_path, MINIMAL_TRANSMON)
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "kept.txt").write_text("kept", encoding="utf-8")
+        target = out if existing else out / "new" / "deeper"
+        assert cli.main(["transmon", "--config", cfg, "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: [Errno 28] No space left on device")
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["kept.txt"]
+            assert (out / "kept.txt").read_text(encoding="utf-8") == "kept"
+        else:
+            assert not out.exists()
+
     def test_overflowing_coupling_scale_returns_three(self, tmp_path, capsys):
         payload = {"mode": "bath",
                    "bath": {"cavity_length": 1.0, "wave_speed": 1.0,

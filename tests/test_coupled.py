@@ -304,3 +304,17 @@ def test_coupled_spectrum_is_gauge_invariant(ng, ratio, z_frac):
     assert np.max(np.abs(e_plus - e_minus)) <= 1e-12 * np.max(np.abs(e_plus))
     g_scale = np.max(np.abs(plus.g_table))
     assert np.max(np.abs(np.abs(plus.g_table) - np.abs(minus.g_table))) <= 1e-12 * g_scale
+
+
+@given(gain=st.floats(1e-3, 3e3), ng=st.floats(0.0, 1.0), z_frac=st.floats(0.0, 1.0))
+def test_coupling_sign_is_a_unitary_symmetry(gain, ng, z_frac):
+    """Flipping the path gain flips every g, which a -> -a (the unitary
+    (-1)^n on each mode) undoes, so the spectrum does not move."""
+    _, line, _, modes = make_system(n_modes=2)
+    ts = solve(TransmonParams(EC=0.3 * GHZ, EJ=15.0 * GHZ, ng=ng))
+    built = [build_full_hamiltonian(ts, modes, CouplingSpec(0.2, z_frac * line.length,
+                                                            path_gain=p), 4, (5, 5))
+             for p in (gain, -gain)]
+    assert np.array_equal(built[1].g_table, -built[0].g_table)
+    e_pos, e_neg = (np.linalg.eigvalsh(b.matrix.mat) for b in built)
+    assert np.max(np.abs(e_pos - e_neg)) <= 1e-12 * np.max(np.abs(e_pos))
