@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, time_grid
 from .errors import ContractViolationError, ModelError, NumericError
 from .qops import Operator, spectrum
 
@@ -268,13 +268,13 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
     more than 0.1 above the fitted envelope the fit does not hold: a warning
     names the cause and ``kappa_fit`` is left out of the metadata.
     """
+    t = time_grid(t_grid)
     cavity = bath.cavity
     if not 0 <= cavity_mode_index < cavity.n_modes:
         raise IndexError(f"cavity mode {cavity_mode_index} outside [0, {cavity.n_modes})")
     lam = float(coupling_scale)
     k_cav = cavity.n_modes
-    h = Operator(_coupled_matrix(bath, lam, boundary_completion, 1.0), hermitian=True)
-    t = np.asarray(t_grid, dtype=float)
+    h = Operator(_coupled_matrix(bath, lam, boundary_completion, 1.0))
     start = np.zeros(h.dim)
     start[cavity_mode_index] = 1.0
     amps = spectrum(h).propagate(start, t)

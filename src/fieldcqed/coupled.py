@@ -63,17 +63,15 @@ class CoupledHamiltonian:
     matrix: Operator
     basis: tuple  # (M, fock_cutoffs)
     g_table: np.ndarray  # shape (M, M, n_modes), rad/s
-    metadata: dict
 
     @property
     def dim(self) -> int:
         return self.matrix.dim
 
     def basis_labels(self):
+        """(level, photons...) of each basis vector, in matrix order."""
         m, cutoffs = self.basis
-        labels = [(j,) + tuple(ns) for j in range(m)
-                  for ns in np.ndindex(*cutoffs)]
-        return labels
+        return [(j,) + ns for j in range(m) for ns in np.ndindex(*cutoffs)]
 
     def basis_state(self, j: int, ns) -> StateVector:
         m, cutoffs = self.basis
@@ -85,7 +83,7 @@ class CoupledHamiltonian:
         index = j
         for n, c in zip(ns, cutoffs):
             index = index * c + n
-        return StateVector.basis_state(self.dim, index, labels=self.basis_labels())
+        return StateVector.basis_state(self.dim, index)
 
 
 def _check_position(modes: ModeSet, z0: float):
@@ -136,8 +134,8 @@ def _product_diagonal(head, cutoffs, weights) -> np.ndarray:
     return diag.ravel()
 
 
-def _assemble(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
-              m: int, fock_cutoffs, g_table: np.ndarray, tag: str) -> CoupledHamiltonian:
+def _assemble(ts: TransmonSolution, modes: ModeSet, m: int, fock_cutoffs,
+              g_table: np.ndarray) -> CoupledHamiltonian:
     if m < 2:
         raise ContractViolationError(f"need at least 2 transmon levels, got {m}")
     if m > ts.n_levels:
@@ -155,28 +153,18 @@ def _assemble(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
     # the coupling terms g_l (x) (a_l + a_l^dag) have a zero diagonal, so
     # only they need a Kronecker product; all of it is real
     for l, c in enumerate(cutoffs):
-        a = annihilation_op(c).mat
+        a = annihilation_op(c)
         before = np.eye(int(np.prod(cutoffs[:l])))
         after = np.eye(int(np.prod(cutoffs[l + 1:])))
         h += np.kron(np.kron(np.kron(g_table[:, :, l], before), a + a.T), after)
-    matrix = Operator(h, hermitian=True)
-    meta = {
-        "coupling": tag,
-        "beta": cs.beta,
-        "include_beta": cs.include_beta,
-        "path_gain": cs.path_gain,
-        "z0": cs.z0,
-        "convention": modes.convention.value,
-        "tunneling_sign": ts.params.sign.value,
-    }
-    return CoupledHamiltonian(matrix=matrix, basis=(m, cutoffs), g_table=g_table, metadata=meta)
+    return CoupledHamiltonian(matrix=Operator(h), basis=(m, cutoffs), g_table=g_table)
 
 
 def build_full_hamiltonian(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
                            m: int, fock_cutoffs) -> CoupledHamiltonian:
     """All charge matrix elements retained (no nearest-neighbor truncation)."""
     table = _g_table(partial(coupling_strength, ts, modes, cs), m, modes.n_modes)
-    return _assemble(ts, modes, cs, m, fock_cutoffs, table, tag="full")
+    return _assemble(ts, modes, m, fock_cutoffs, table)
 
 
 def build_nn_hamiltonian(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
@@ -185,7 +173,7 @@ def build_nn_hamiltonian(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
     table = _g_table(partial(coupling_strength, ts, modes, cs), m, modes.n_modes)
     levels = np.arange(m)
     table[np.abs(levels[:, None] - levels) != 1] = 0.0
-    return _assemble(ts, modes, cs, m, fock_cutoffs, table, tag="nearest-neighbor")
+    return _assemble(ts, modes, m, fock_cutoffs, table)
 
 
 def total_excitation_op(coupled: CoupledHamiltonian) -> Operator:
@@ -193,7 +181,7 @@ def total_excitation_op(coupled: CoupledHamiltonian) -> Operator:
     coupling (the a + a^dag form keeps counter-rotating terms)."""
     m, cutoffs = coupled.basis
     diag = _product_diagonal(np.arange(m), cutoffs, np.ones(len(cutoffs)))
-    return Operator(np.diag(diag), hermitian=True)
+    return Operator(np.diag(diag))
 
 
 def _smeared_mode_value(modes: ModeSet, l: int, z0: float, sigma: float, n_points: int = 801) -> float:
@@ -243,8 +231,7 @@ def field_coupling_strength(ts: TransmonSolution, modes: ModeSet, xsec: TEMCross
 
 
 def field_reduction_check(ts: TransmonSolution, modes: ModeSet, xsec: TEMCrossSection,
-                          cs: CouplingSpec, m: int, fock_cutoffs,
-                          sigma_frac: float = 1e-6):
+                          cs: CouplingSpec, m: int, fock_cutoffs):
     """Build the Hamiltonian by field integration and by the circuit rate.
 
     Returns (H_field, H_circuit, max_diff) where max_diff is the largest
@@ -252,8 +239,7 @@ def field_reduction_check(ts: TransmonSolution, modes: ModeSet, xsec: TEMCrossSe
     the spatial integral collapses to the lumped coupling formula.
     """
     circuit = build_full_hamiltonian(ts, modes, cs, m, fock_cutoffs)
-    rate = partial(field_coupling_strength, ts, modes, xsec, cs, sigma_frac=sigma_frac)
-    table = _g_table(rate, m, modes.n_modes)
-    fielded = _assemble(ts, modes, cs, m, fock_cutoffs, table, tag="field-integrated")
+    table = _g_table(partial(field_coupling_strength, ts, modes, xsec, cs), m, modes.n_modes)
+    fielded = _assemble(ts, modes, m, fock_cutoffs, table)
     max_diff = float(np.max(np.abs(fielded.matrix.mat - circuit.matrix.mat)))
     return fielded.matrix, circuit.matrix, max_diff

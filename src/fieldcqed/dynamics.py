@@ -29,6 +29,19 @@ from .transmon import (
 _POPULATION_DIM_LIMIT = 64
 
 
+def time_grid(t_grid) -> np.ndarray:
+    """``t_grid`` as a float array: 1D, at least 2 points, finite and strictly
+    ascending.  Every solver that takes a grid checks it here before any work."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 2:
+        raise ContractViolationError("need a 1D time grid with at least 2 points")
+    if not np.all(np.isfinite(t)):
+        raise ContractViolationError("time grid must be finite")
+    if np.any(np.diff(t) <= 0):
+        raise ContractViolationError("time grid must be strictly ascending")
+    return t
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time grid plus named real observable series of equal length."""
@@ -38,19 +51,11 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise ContractViolationError("need a 1D time grid with at least 2 points")
-        if np.any(np.diff(t) <= 0):
-            raise ContractViolationError("time grid must be strictly ascending")
+        t = time_grid(self.times)
         for name, s in self.series.items():
             if np.asarray(s).shape != t.shape:
                 raise DimensionMismatchError(f"series {name!r} length does not match times")
         object.__setattr__(self, "times", t)
-
-    @property
-    def names(self):
-        return sorted(self.series)
 
 
 @dataclass(frozen=True)
@@ -80,19 +85,20 @@ def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory
     Uses one eigendecomposition (:func:`fieldcqed.qops.spectrum`, the
     real-symmetric solver when ``h`` is real), so every sample is the exact
     propagator applied to the initial state: refining the grid never
-    changes values at shared times.  Records norm, energy and (for small
-    systems) populations per basis label, plus expectations of any extra
-    ``observables``.  Each expectation series is one matrix product of the
-    operator with all sampled states plus a column dot product.
+    changes values at shared times.  Records norm, energy and (up to dim 64)
+    populations ``pop_<label>`` per ``h.basis_labels()``, or ``pop_<i>`` when
+    ``h`` has none, plus expectations of any extra ``observables``.  Each
+    expectation series is one matrix product of the operator with all
+    sampled states plus a column dot product.
     """
+    t = time_grid(t_grid)
     op_h = _as_operator(h)
     if op_h.dim != psi0.dim:
         raise DimensionMismatchError(f"H dim {op_h.dim} does not match state dim {psi0.dim}")
-    observables = observables or {}
+    observables = {name: _as_operator(op) for name, op in (observables or {}).items()}
     for name, op in observables.items():
         if op.dim != psi0.dim:
             raise DimensionMismatchError(f"observable {name!r} dimension mismatch")
-    t = np.asarray(t_grid, dtype=float)
 
     # the eigenvectors are not needed past propagation, so none are kept
     states = spectrum(op_h).propagate(psi0.amps, t)
@@ -104,17 +110,19 @@ def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory
         "energy": expectation_series(op_h.mat, states),
     }
     if psi0.dim <= _POPULATION_DIM_LIMIT:
-        for idx, label in enumerate(psi0.labels):
+        basis_labels = getattr(h, "basis_labels", None)
+        labels = basis_labels() if basis_labels else [(i,) for i in range(psi0.dim)]
+        for idx, label in enumerate(labels):
             key = "pop_" + "_".join(str(x) for x in label)
             series[key] = np.abs(states[idx, :]) ** 2
     for name, op in observables.items():
         series[name] = expectation_series(op.mat, states)
-    return Trajectory(times=t, series=series, metadata={"dim": psi0.dim})
+    return Trajectory(times=t, series=series)
 
 
 def _uniform_dt(t: np.ndarray) -> float:
     dt = np.diff(t)
-    if dt.size == 0 or abs(dt.max() - dt.min()) > 1e-9 * dt.mean():
+    if abs(dt.max() - dt.min()) > 1e-9 * dt.mean():
         raise ContractViolationError("classical integration needs a uniform time grid")
     return float(dt.mean())
 
@@ -127,7 +135,7 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
     instead of drifting.  A drift beyond 1% of the initial energy scale
     raises StepSizeError.
     """
-    t = np.asarray(t_grid, dtype=float)
+    t = time_grid(t_grid)
     dt = _uniform_dt(t)
     n_steps = t.size - 1
     ec8 = 8.0 * p.EC
@@ -168,12 +176,11 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
 def ehrenfest_check(p: TransmonParams, psi0: StateVector, t_grid) -> float:
     """:func:`ehrenfest_residual` of ``psi0`` evolved on ``t_grid`` under
     the charge Hamiltonian of the isolated transmon ``p``."""
-    t = np.asarray(t_grid, dtype=float)
-    traj = evolve(build_charge_hamiltonian(p), psi0, t, observables={
+    traj = evolve(build_charge_hamiltonian(p), psi0, t_grid, observables={
         "n_expect": charge_number_op(p.n_cutoff),
         "sin_phi": sin_phi_op(p.n_cutoff, p.sign),
     })
-    return ehrenfest_residual(p, t, traj.series["n_expect"], traj.series["sin_phi"])
+    return ehrenfest_residual(p, traj.times, traj.series["n_expect"], traj.series["sin_phi"])
 
 
 def ehrenfest_residual(p: TransmonParams, times, n_expect, sin_phi) -> float:
@@ -186,7 +193,7 @@ def ehrenfest_residual(p: TransmonParams, times, n_expect, sin_phi) -> float:
     runs, where both sides vanish, from dividing noise by noise).  Warns
     when the grid is too coarse for the spectrum of ``p``.
     """
-    t = np.asarray(times, dtype=float)
+    t = time_grid(times)
     if t.size < 3:
         raise ContractViolationError(
             f"the centered derivative needs at least 3 time points, got {t.size}")

@@ -11,7 +11,7 @@ complex128 otherwise.  Products of spaces are built only by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
@@ -40,45 +40,34 @@ def _is_hermitian(m: np.ndarray) -> bool:
     return float(d.max()) <= _HERM_TOL * max(1.0, scale)
 
 
-def _as_matrix(mat) -> np.ndarray:
-    """``mat`` as a finite square float64 matrix when its imaginary part is
-    exactly zero (or absent), else as complex128."""
-    m = np.asarray(mat)
-    if np.iscomplexobj(m) and not m.imag.any():
-        m = np.ascontiguousarray(m.real)
-    m = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NumericError("matrix contains non-finite entries")
-    return m
-
-
 @dataclass(frozen=True)
 class Operator:
-    """A dense square matrix with an optional hermiticity assertion.
+    """A dense hermitian matrix: a Hamiltonian or an observable.
 
     Parameters
     ----------
     mat:
-        Square matrix.  Stored as float64 when its imaginary part is
-        exactly zero (integer and real input included), else as complex128;
-        the dtype is decided here once, so real operators stay real.
-    hermitian:
-        If True, the constructor verifies hermiticity once, and operations
-        that require a hermitian operand (:func:`spectrum` and the
-        propagators built on it) trust the flag without checking again.
-        Treat ``mat`` as read-only: writing into it after construction
-        voids the verified property.
+        Square, finite, hermitian matrix, checked once here; :func:`spectrum`
+        and the propagators built on it rely on the check.  Stored as
+        float64 when its imaginary part is exactly zero (integer and real
+        input included), else as complex128; the dtype is decided here once,
+        so real operators stay real.  Treat ``mat`` as read-only: writing
+        into it after construction voids the checked property.
     """
 
     mat: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
-        m = _as_matrix(self.mat)
-        if self.hermitian and not _is_hermitian(m):
-            raise ContractViolationError("matrix marked hermitian is not hermitian")
+        m = np.asarray(self.mat)
+        if np.iscomplexobj(m) and not m.imag.any():
+            m = np.ascontiguousarray(m.real)
+        m = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise NumericError("matrix contains non-finite entries")
+        if not _is_hermitian(m):
+            raise ContractViolationError("operator matrix is not hermitian")
         object.__setattr__(self, "mat", m)
 
     @property
@@ -88,14 +77,13 @@ class Operator:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized state with one label per basis vector.
+    """Normalized state amplitudes.
 
     ``amps`` must have unit 2-norm within 1e-12; use :meth:`from_amplitudes`
-    to normalize arbitrary data.  Labels default to ``(i,)`` tuples.
+    to normalize arbitrary data.
     """
 
     amps: np.ndarray
-    labels: tuple = field(default=None)
 
     def __post_init__(self):
         a = np.asarray(self.amps, dtype=complex)
@@ -106,49 +94,39 @@ class StateVector:
         nrm = float(np.linalg.norm(a))
         if abs(nrm - 1.0) > _NORM_TOL:
             raise ContractViolationError(f"state norm {nrm} deviates from 1 by more than {_NORM_TOL}")
-        labels = self.labels
-        if labels is None:
-            labels = tuple((i,) for i in range(a.size))
-        else:
-            labels = tuple(tuple(np.atleast_1d(l)) if not isinstance(l, tuple) else l for l in labels)
-            if len(labels) != a.size:
-                raise DimensionMismatchError("label count does not match dimension")
         object.__setattr__(self, "amps", a)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
         return self.amps.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     @classmethod
-    def basis_state(cls, dim: int, index: int, labels=None) -> "StateVector":
+    def basis_state(cls, dim: int, index: int) -> "StateVector":
         if not 0 <= index < dim:
             raise IndexError(f"basis index {index} outside [0, {dim})")
         a = np.zeros(dim, dtype=complex)
         a[index] = 1.0
-        return cls(a, labels)
+        return cls(a)
 
     @classmethod
-    def from_amplitudes(cls, amps, labels=None) -> "StateVector":
+    def from_amplitudes(cls, amps) -> "StateVector":
         a = np.asarray(amps, dtype=complex)
         nrm = np.linalg.norm(a)
         if nrm == 0.0:
             raise ContractViolationError("cannot normalize the zero vector")
-        return cls(a / nrm, labels)
+        return cls(a / nrm)
 
 
-def annihilation_op(n_max: int) -> Operator:
-    """Bosonic annihilation operator truncated to ``n_max`` Fock states.
+def annihilation_op(n_max: int) -> np.ndarray:
+    """Bosonic annihilation operator truncated to ``n_max`` Fock states, as
+    a plain array: it is not hermitian, so it is not an :class:`Operator`.
 
     Entries a[n-1, n] = sqrt(n).  The truncated commutator [a, a^dag] is the
     identity except for -(n_max - 1) in the last diagonal slot.
     """
     if n_max < 1:
         raise DimensionMismatchError("n_max must be at least 1")
-    return Operator(np.diag(np.sqrt(np.arange(1.0, n_max)), k=1))
+    return np.diag(np.sqrt(np.arange(1.0, n_max)), k=1)
 
 
 def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -184,15 +162,13 @@ def spectrum(h: Operator) -> Spectrum:
     Every dense eigendecomposition in the package goes through here, and
     :meth:`Spectrum.propagate` is the one propagator: ``dynamics.evolve``
     and ``bath.decay_simulation`` use it (``transmon.solve`` takes
-    :func:`tridiagonal_spectrum`).  Hermiticity is checked unless
-    ``h.hermitian`` already asserts it.  A real operator
+    :func:`tridiagonal_spectrum`).  ``h`` is hermitian by construction of
+    :class:`Operator`.  A real operator
     (every charge, coupled and bath Hamiltonian this package builds) goes
     to the real-symmetric divide-and-conquer solver, several times faster
     than the complex one; complex operators keep the complex hermitian
     solver.  A LAPACK failure is raised as NumericError.
     """
-    if not h.hermitian and not _is_hermitian(h.mat):
-        raise ContractViolationError("evolution requires a hermitian generator")
     try:
         evals, vecs = eigh(h.mat, driver="evd" if np.isrealobj(h.mat) else None)
     except np.linalg.LinAlgError as exc:

@@ -51,13 +51,13 @@ class TransmonParams:
 
 @dataclass(frozen=True)
 class TransmonSolution:
-    """Sorted eigenfrequencies and real, phase-fixed charge-basis eigenvectors."""
+    """Sorted eigenfrequencies and real, phase-fixed charge-basis eigenvectors:
+    in each eigenvector the lowest-index component within 1e-9 relative of
+    the largest magnitude is real positive."""
 
     levels: np.ndarray
     eigvecs: np.ndarray
     params: TransmonParams
-    phase_convention: str = (
-        "lowest-index component within 1e-9 relative of the largest magnitude is real positive")
 
     @property
     def n_levels(self) -> int:
@@ -70,7 +70,7 @@ class TransmonSolution:
 
 def charge_number_op(n_cutoff: int) -> Operator:
     """Charge operator diag(-n_cutoff, ..., +n_cutoff)."""
-    return Operator(np.diag(np.arange(-n_cutoff, n_cutoff + 1, dtype=float)), hermitian=True)
+    return Operator(np.diag(np.arange(-n_cutoff, n_cutoff + 1, dtype=float)))
 
 
 def _shift_op(n_cutoff: int) -> np.ndarray:
@@ -84,7 +84,7 @@ def cos_phi_op(n_cutoff: int, sign: TunnelingSign = TunnelingSign.PLUS) -> Opera
     -E_J cos(phi) reproduces the tunneling block of the Hamiltonian."""
     s = 1.0 if sign is TunnelingSign.PLUS else -1.0
     S = _shift_op(n_cutoff)
-    return Operator(-s * (S + S.T) / 2.0, hermitian=True)
+    return Operator(-s * (S + S.T) / 2.0)
 
 
 def sin_phi_op(n_cutoff: int, sign: TunnelingSign = TunnelingSign.PLUS) -> Operator:
@@ -96,7 +96,7 @@ def sin_phi_op(n_cutoff: int, sign: TunnelingSign = TunnelingSign.PLUS) -> Opera
     """
     s = 1.0 if sign is TunnelingSign.PLUS else -1.0
     S = _shift_op(n_cutoff)
-    return Operator(s * (S - S.T) / 2j, hermitian=True)
+    return Operator(s * (S - S.T) / 2j)
 
 
 def _charge_bands(p: TransmonParams) -> tuple:
@@ -110,7 +110,7 @@ def _charge_bands(p: TransmonParams) -> tuple:
 def build_charge_hamiltonian(p: TransmonParams) -> Operator:
     """The charge Hamiltonian as a dense Operator (see ``_charge_bands``)."""
     diag, off = _charge_bands(p)
-    return Operator(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), hermitian=True)
+    return Operator(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:

@@ -1,16 +1,19 @@
 """One test per acceptance criterion this package commits to.
 
 Each test re-runs the corresponding oracle suite and fails with a per-check
-breakdown if any bound is exceeded.  Criterion 7 drives the installed CLI
-end to end and compares output bytes across runs.
+breakdown if any bound is exceeded.  Criterion 7 drives the CLI of the
+imported package end to end and compares output bytes across runs.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fieldcqed
 from fieldcqed import checks
 
 
@@ -57,11 +60,15 @@ def test_criterion_6_equations_of_motion():
 
 def test_criterion_7_cli_determinism(tmp_path):
     outs = (tmp_path / "run1", tmp_path / "run2")
+    # the subprocess must import the package under test, installed or not
+    src = str(Path(fieldcqed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     captured = []
     for out in outs:
         proc = subprocess.run(
             [sys.executable, "-m", "fieldcqed.cli", "check", "--out", str(out)],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         captured.append(proc.stdout)
     assert "FAIL" not in captured[0]

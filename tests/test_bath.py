@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from fieldcqed import bath as bath_mod
 from fieldcqed import checks
 from fieldcqed.bath import (
     InterfaceClosure,
@@ -312,6 +313,18 @@ def test_decay_rate_matches_golden_rule():
     traj, _ = tuned_decay()
     ratio = traj.metadata["kappa_fit"] / traj.metadata["kappa_golden_rule"]
     assert abs(ratio - 1.0) < 0.10
+
+
+@pytest.mark.parametrize("t", [np.array([0.0, 0.5, np.nan, 1.5]),
+                               np.array([0.0, 0.5, 1.0, np.inf])])
+def test_decay_rejects_nonfinite_grid_before_any_work(monkeypatch, t):
+    # a non-finite grid used to give NaN cavity populations without a word
+    def no_work(*args):
+        raise AssertionError("decay_simulation built H before checking the grid")
+    monkeypatch.setattr(bath_mod, "_coupled_matrix", no_work)
+    bath = commensurate_bath(cavity_modes_1d(make_partition(A), 4), 50)
+    with pytest.raises(ContractViolationError, match="finite"):
+        decay_simulation(bath, 0, t)
 
 
 def test_decay_metadata():

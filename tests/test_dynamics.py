@@ -7,17 +7,24 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh
 
-from fieldcqed.coupled import CouplingSpec, build_nn_hamiltonian, coupling_strength
+from fieldcqed import dynamics
+from fieldcqed.coupled import (
+    CouplingSpec,
+    build_full_hamiltonian,
+    build_nn_hamiltonian,
+    coupling_strength,
+)
 from fieldcqed.dynamics import (
     ClassicalState,
     Trajectory,
     classical_trajectory,
     ehrenfest_check,
+    ehrenfest_residual,
     evolve,
     first_return_period,
 )
 from fieldcqed.errors import ContractViolationError, StepSizeError
-from fieldcqed.qops import Operator, StateVector, spectrum
+from fieldcqed.qops import Operator, StateVector, annihilation_op, spectrum
 from fieldcqed.transmon import TransmonParams, sin_phi_op, solve
 from fieldcqed.txline import (
     LineParams,
@@ -33,7 +40,7 @@ GHZ = 2 * np.pi * 1e9
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return Operator((m + m.conj().T) / 2, hermitian=True)
+    return Operator((m + m.conj().T) / 2)
 
 
 def reference_evolve(h_mat, psi0, t, observables):
@@ -59,10 +66,19 @@ class TestTrajectory:
         with pytest.raises(ContractViolationError):
             Trajectory(times=np.array([0.0, 1.0, 0.5]), series={})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_times(self, bad):
+        with pytest.raises(ContractViolationError, match="finite"):
+            Trajectory(times=np.array([0.0, 1.0, bad]), series={})
+
+
+# a NaN passes the ascending test (np.diff gives NaN, and NaN <= 0 is False)
+NONFINITE_GRIDS = [np.array([0.0, 0.5, np.nan, 1.5]), np.array([0.0, 0.5, 1.0, np.inf])]
+
 
 class TestEvolve:
     def test_eigenstate_populations_constant(self):
-        h = Operator(np.diag([0.0, 1.3, 2.9]), hermitian=True)
+        h = Operator(np.diag([0.0, 1.3, 2.9]))
         psi0 = StateVector.basis_state(3, 1)
         traj = evolve(h, psi0, np.linspace(0, 10, 101))
         assert np.max(np.abs(traj.series["pop_1"] - 1.0)) < 1e-10
@@ -125,9 +141,9 @@ class TestEvolve:
         a = rng.normal(size=(dim, dim))
         if not real_h:
             a = a + 1j * rng.normal(size=(dim, dim))
-        h = Operator((a + a.conj().T) / 2, hermitian=True)
+        h = Operator((a + a.conj().T) / 2)
         b = rng.normal(size=(dim, dim))
-        observables = {"real_obs": Operator((b + b.T) / 2, hermitian=True),
+        observables = {"real_obs": Operator((b + b.T) / 2),
                        "sin_phi": sin_phi_op(25)}
         psi0 = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         t = np.linspace(0.0, 6.0, 301)
@@ -138,9 +154,45 @@ class TestEvolve:
             assert np.max(np.abs(got[name] - series)) < tol, name
 
     def test_rejects_nonhermitian(self):
-        bad = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ContractViolationError):
-            evolve(bad, StateVector.basis_state(2, 0), np.linspace(0, 1, 5))
+        # generator and observables are Operators, and the ladder cannot
+        # become one, so Re<a> can no longer be recorded as an observable
+        h = Operator(np.diag([0.0, 1.0, 2.0]))
+        psi0, t = StateVector.basis_state(3, 1), np.linspace(0, 1, 5)
+        with pytest.raises(ContractViolationError, match="not hermitian"):
+            evolve(h, psi0, t, {"a": Operator(annihilation_op(3))})
+        with pytest.raises(ContractViolationError, match="expected an Operator"):
+            evolve(h, psi0, t, {"a": annihilation_op(3)})
+
+    def test_population_keys_name_the_coupled_basis(self):
+        ts = solve(TransmonParams(EC=0.3 * GHZ, EJ=15.0 * GHZ))
+        line = LineParams(4.0e-7, 1.6e-10, np.pi * 1.25e8 / ts.transition(0, 1))
+        modes = mode_operator_coeffs(compute_modes(line, 2), matched_cross_section(line))
+        built = build_full_hamiltonian(ts, modes, CouplingSpec(0.01, 0.0), 2, (2, 3))
+        t = np.linspace(0.0, 1e-9, 11)
+        psi0 = built.basis_state(1, (0, 0))
+        runs = [evolve(built, psi0, t), evolve(built, StateVector(psi0.amps), t)]
+        expected = ["pop_%d_%d_%d" % (j, n1, n2)
+                    for j in range(2) for n1 in range(2) for n2 in range(3)]
+        for traj in runs:
+            assert [k for k in traj.series if k.startswith("pop_")] == expected
+        for key in expected:
+            assert np.array_equal(runs[0].series[key], runs[1].series[key])
+        assert runs[0].series["pop_1_0_0"][0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_population_keys_of_a_plain_operator(self):
+        t = np.linspace(0.0, 1.0, 5)
+        traj = evolve(random_hermitian(3, 1), StateVector.basis_state(3, 0), t)
+        assert [k for k in traj.series if k.startswith("pop_")] == ["pop_0", "pop_1", "pop_2"]
+        traj = evolve(random_hermitian(65, 1), StateVector.basis_state(65, 0), t)
+        assert sorted(traj.series) == ["energy", "norm"]
+
+    @pytest.mark.parametrize("t", NONFINITE_GRIDS)
+    def test_nonfinite_grid_fails_before_any_work(self, monkeypatch, t):
+        def no_work(*args):
+            raise AssertionError("evolve diagonalized H before checking the grid")
+        monkeypatch.setattr(dynamics, "spectrum", no_work)
+        with pytest.raises(ContractViolationError, match="finite"):
+            evolve(random_hermitian(3, 1), StateVector.basis_state(3, 0), t)
 
 
 def reference_leapfrog(p, s0, t):
@@ -266,6 +318,13 @@ class TestClassicalTrajectory:
         with pytest.raises(ContractViolationError):
             classical_trajectory(p, ClassicalState(0.1, 0.0), np.array([0.0, 0.1, 0.3]))
 
+    @pytest.mark.parametrize("t", NONFINITE_GRIDS)
+    def test_nonfinite_grid_rejected(self, t):
+        # inf used to end in math.sin's ValueError, NaN in a StepSizeError
+        p = TransmonParams(EC=1.0, EJ=1.0)
+        with pytest.raises(ContractViolationError, match="finite"):
+            classical_trajectory(p, ClassicalState(0.1, 0.0), t)
+
 
 class TestEhrenfest:
     def test_eigenstate_residual_tiny(self):
@@ -293,6 +352,13 @@ class TestEhrenfest:
             resids.append(ehrenfest_check(p, psi0, np.arange(0.0, 0.5, dt)))
         assert 3.2 < resids[0] / resids[1] < 4.8
         assert 3.2 < resids[1] / resids[2] < 4.8
+
+    @pytest.mark.parametrize("t", NONFINITE_GRIDS)
+    def test_residual_rejects_nonfinite_grid(self, t):
+        # a NaN time used to give a NaN residual
+        p = TransmonParams(EC=1.0, EJ=100.0, n_cutoff=15)
+        with pytest.raises(ContractViolationError, match="finite"):
+            ehrenfest_residual(p, t, np.zeros(t.size), np.zeros(t.size))
 
     def test_needs_three_points(self):
         p = TransmonParams(EC=1.0, EJ=100.0, n_cutoff=15)
@@ -329,9 +395,9 @@ def test_spectral_paths_conserve_and_agree(dim, seed):
     agree after rotating back."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim))
-    h = Operator((a + a.T) / 2, hermitian=True)
+    h = Operator((a + a.T) / 2)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim))
-    h_rot = Operator(phases[:, None] * h.mat * phases.conj()[None, :], hermitian=True)
+    h_rot = Operator(phases[:, None] * h.mat * phases.conj()[None, :])
     psi0 = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     t = np.linspace(0.0, 5.0, 41)
     scale = max(1.0, float(np.max(np.abs(h.mat))))

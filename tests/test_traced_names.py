@@ -7,29 +7,12 @@ file without changing ``sys.path`` or writing anything under ``bench/``."""
 
 import inspect
 import sys
-import types
-from pathlib import Path
 
 import numpy
 
 import fieldcqed
 import fieldcqed.cli  # noqa: F401  (the tracer plans cli names only when cli is loaded)
 from fieldcqed import checks, qops
-
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-
-
-def load_tracer():
-    """Execute the tracer's source as a fresh module; no bytecode is cached."""
-    module = types.ModuleType("fieldcqed_bench_tracer")
-    code = compile(TRACER_PATH.read_text(encoding="utf-8"), str(TRACER_PATH), "exec")
-    sys.modules[module.__name__] = module  # its dataclasses look their module up
-    try:
-        exec(code, vars(module))
-    finally:
-        del sys.modules[module.__name__]
-    return module
-
 
 def package_modules() -> dict:
     return {name.split(".")[-1]: mod for name, mod in sys.modules.items()
@@ -49,8 +32,8 @@ def snapshot() -> list:
     return [(space, dict(space)) for space in namespaces()]
 
 
-def test_tracer_wraps_every_planned_name_and_restores_it():
-    tracer_mod = load_tracer()
+def test_tracer_wraps_every_planned_name_and_restores_it(bench_module):
+    tracer_mod = bench_module("tracer")
     mods = package_modules()
     originals = {(module, attr): getattr(mods[module], attr)
                  for _, module, attr, _, _ in tracer_mod._PLAN}
@@ -68,5 +51,5 @@ def test_tracer_wraps_every_planned_name_and_restores_it():
         assert not changed, changed
 
 
-def test_tracer_suite_names_match_the_check_suites():
-    assert set(checks.SUITES) == set(load_tracer().SUITE_NAMES)
+def test_tracer_suite_names_match_the_check_suites(bench_module):
+    assert set(checks.SUITES) == set(bench_module("tracer").SUITE_NAMES)

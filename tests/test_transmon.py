@@ -327,5 +327,6 @@ class TestPhaseOperators:
         assert np.allclose(h, rebuilt, atol=0, rtol=0)
 
     def test_hermitian(self):
-        assert cos_phi_op(5).hermitian
-        assert sin_phi_op(5).hermitian
+        # an Operator is checked hermitian when it is built
+        for sign in TunnelingSign:
+            assert cos_phi_op(5, sign).dim == sin_phi_op(5, sign).dim == 11
