@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import Trajectory, time_grid
 from .errors import ContractViolationError, ModelError, NumericError
-from .qops import Operator, spectrum
+from .qops import Operator, rank_one_coupling_spectrum
 
 
 class InterfaceClosure(enum.Enum):
@@ -255,6 +255,44 @@ def global_mode_frequencies(part: RegionPartition, n_modes: int) -> np.ndarray:
     return m * np.pi * part.wave_speed / part.oracle_total_length
 
 
+def _coupling_factors(bath: BathDiscretization) -> tuple:
+    """(a, b) with ``W = outer(a, b)`` up to rounding, from the closed-form
+    traces: ``a = (c^2/2)(u_k' - u_k)/sqrt(omega_k)`` and
+    ``b = (psi_p + psi_p') sqrt(delta_omega)/sqrt(omega_p)``, where under
+    either closure one term of each sum is exactly zero.  Under the PMC port
+    closure ``b`` is bit for bit the completion vector of ``_completion_term``."""
+    c = bath.part.wave_speed
+    u, du = bath.cavity.interface_traces()
+    psi, dpsi = port_interface_traces(bath.part, bath.omega_grid)
+    a = (c**2 / 2.0) * (du - u) / np.sqrt(bath.cavity.freqs)
+    b = (psi + dpsi) * np.sqrt(bath.delta_omega) / np.sqrt(bath.omega_grid)
+    return a, b
+
+
+def _one_excitation_spectrum(bath: BathDiscretization, coupling_scale: float,
+                            boundary_completion: bool = True) -> tuple:
+    """Eigenvalues of the one-excitation Hamiltonian ``_coupled_matrix(bath,
+    lam, boundary_completion, 1.0)`` and the cavity rows of its eigenvectors,
+    without building it: the coupling ``lam W = (lam a) b^T`` has rank one and
+    the completion term lies along ``a`` (cavity block) or ``b`` (port
+    block), so ``qops.rank_one_coupling_spectrum`` solves it through a
+    secular equation.  Returns ``(Spectrum, secular_iterations)``."""
+    lam = float(coupling_scale)
+    a, b = _coupling_factors(bath)
+    cavity_block = np.diag(bath.cavity.freqs)
+    sigma = 0.0
+    if boundary_completion:
+        block, coeff, v = _completion_term(bath)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if block.start == 0:
+                cavity_block += lam * lam * coeff * np.outer(v, v)
+            else:
+                sigma = lam * lam * coeff
+    with np.errstate(over="ignore"):
+        z = lam * a
+    return rank_one_coupling_spectrum(Operator(cavity_block), z, bath.omega_grid, b, sigma)
+
+
 def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
                      coupling_scale: float = 1.0,
                      boundary_completion: bool = True) -> Trajectory:
@@ -262,39 +300,50 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
 
     The counter-rotating -W block is dropped (rotating-wave restriction,
     recorded in metadata), so evolution stays in the one-quantum sector of
-    dimension n_cavity_modes + n_bins.  Returns the total cavity population
-    P(t) plus a log-linear rate fit over 0.1 < P < 0.9 and the golden-rule
-    rate from the resonant bin for comparison.  When the population rises
-    more than 0.1 above the fitted envelope the fit does not hold: a warning
-    names the cause and ``kappa_fit`` is left out of the metadata.
+    dimension n_cavity_modes + n_bins.  Its eigenvalues and the cavity rows
+    X of its eigenvectors come from ``_one_excitation_spectrum`` (a secular
+    equation, no dense solve beyond the cavity block), and the cavity
+    amplitudes are ``X diag(exp(-i mu t)) X[k]^T``.  The ``norm`` series is
+    ``sqrt(sum_n X[k, n]^2)``, constant in t; ``spectral_weight_deficit``
+    is ``|1 - sum_n X[k, n]^2|`` and ``secular_iterations`` the most
+    iterations any root took.
+
+    Returns the total cavity population P(t) plus the golden-rule rate
+    from the resonant bin (always) and a log-linear rate fit over
+    0.1 < P < 0.9 when at least 3 samples fall in that window.  When the
+    population rises more than 0.1 above the fitted envelope the fit does
+    not hold: a warning names the cause and ``kappa_fit`` is left out of
+    the metadata.
     """
     t = time_grid(t_grid)
     cavity = bath.cavity
     if not 0 <= cavity_mode_index < cavity.n_modes:
         raise IndexError(f"cavity mode {cavity_mode_index} outside [0, {cavity.n_modes})")
     lam = float(coupling_scale)
-    k_cav = cavity.n_modes
-    h = Operator(_coupled_matrix(bath, lam, boundary_completion, 1.0))
-    start = np.zeros(h.dim)
+    spec, iterations = _one_excitation_spectrum(bath, lam, boundary_completion)
+    start = np.zeros(cavity.n_modes)
     start[cavity_mode_index] = 1.0
-    amps = spectrum(h).propagate(start, t)
-    pop_cavity = np.sum(np.abs(amps[:k_cav, :]) ** 2, axis=0)
-    norm = np.linalg.norm(amps, axis=0)
+    amps = spec.propagate(start, t)
+    pop_cavity = np.sum(np.abs(amps) ** 2, axis=0)
+    weight = float(spec.vecs[cavity_mode_index] @ spec.vecs[cavity_mode_index])
+    norm = np.full(t.size, np.sqrt(weight))
 
     window = (pop_cavity > 0.1) & (pop_cavity < 0.9) & (t > 0)
+    resonant = int(np.argmin(np.abs(bath.omega_grid - cavity.freqs[cavity_mode_index])))
     meta = {
         "rotating_wave": True,
         "counter_rotating_dropped": True,
         "coupling_scale": lam,
         "cavity_mode_index": cavity_mode_index,
         "recurrence_time": 2.0 * np.pi / bath.delta_omega,
+        "resonant_bin": resonant,
+        "kappa_golden_rule": float(
+            2.0 * np.pi * (lam * bath.W[cavity_mode_index, resonant]) ** 2 / bath.delta_omega),
+        "secular_iterations": iterations,
+        "spectral_weight_deficit": abs(1.0 - weight),
     }
     if np.count_nonzero(window) >= 3:
         slope, intercept = np.polyfit(t[window], np.log(pop_cavity[window]), 1)
-        resonant = int(np.argmin(np.abs(bath.omega_grid - cavity.freqs[cavity_mode_index])))
-        meta["resonant_bin"] = resonant
-        meta["kappa_golden_rule"] = float(
-            2.0 * np.pi * (lam * bath.W[cavity_mode_index, resonant]) ** 2 / bath.delta_omega)
         envelope = np.exp(intercept + slope * t)
         if np.any(pop_cavity - envelope > 0.1):
             cause = ("bath truncation too small (recurrence reached)"

@@ -1,6 +1,9 @@
 """Dense operator and state primitives, and the spectral core that every
 eigendecomposition goes through: :func:`spectrum` for dense hermitian
-operators and :func:`tridiagonal_spectrum` for the charge-basis transmon.
+operators, :func:`tridiagonal_spectrum` for the charge-basis transmon, and
+:func:`rank_one_coupling_spectrum` (on :func:`secular_roots`) for a small
+block coupled to a diagonal one through a rank-one term, the cavity-port
+bath, which returns the eigenvalues and the small block's rows only.
 
 Internally hbar = 1: Hamiltonians are expressed in angular-frequency units
 and time in the inverse units, so ``exp(-i H t)`` needs no extra constants.
@@ -12,6 +15,7 @@ complex128 otherwise.  Products of spaces are built only by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
@@ -136,18 +140,25 @@ def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(a) or not np.iscomplexobj(x):
         return a @ x
     x = np.ascontiguousarray(x)
-    return (a @ x.view(float).reshape(x.shape[0], -1)).view(complex).reshape(x.shape)
+    y = a @ x.view(float).reshape(x.shape[0], -1)
+    return y.view(complex).reshape(a.shape[:1] + x.shape[1:])
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenpairs of a hermitian operator; ``vecs`` is real when it is."""
+    """Eigenpairs of a hermitian operator; ``vecs`` is real when it is.
+
+    ``vecs`` holds whole eigenvectors as columns, or, from
+    :func:`rank_one_coupling_spectrum`, only some of their rows.  Then
+    :meth:`propagate` maps amplitudes on those rows to amplitudes on those
+    rows, which is exact for a state that starts on them.
+    """
 
     evals: np.ndarray
     vecs: np.ndarray
 
     def propagate(self, amps: np.ndarray, times) -> np.ndarray:
-        """Columns ``exp(-i H t) amps`` for every t in ``times`` (dim x n_t)."""
+        """Columns ``exp(-i H t) amps`` for every t in ``times`` (rows x n_t)."""
         # V^H amps as conj(V^T conj(amps)), so no conjugate copy of V is made
         c0 = _matmul(self.vecs.T, np.conj(amps)).conj()
         phases = np.outer(-1j * self.evals, np.asarray(times, dtype=float))
@@ -161,7 +172,8 @@ def spectrum(h: Operator) -> Spectrum:
 
     Every dense eigendecomposition in the package goes through here, and
     :meth:`Spectrum.propagate` is the one propagator: ``dynamics.evolve``
-    and ``bath.decay_simulation`` use it (``transmon.solve`` takes
+    uses it on this spectrum, ``bath.decay_simulation`` on the cavity rows
+    from :func:`rank_one_coupling_spectrum` (``transmon.solve`` takes
     :func:`tridiagonal_spectrum`).  ``h`` is hermitian by construction of
     :class:`Operator`.  A real operator
     (every charge, coupled and bath Hamiltonian this package builds) goes
@@ -174,6 +186,292 @@ def spectrum(h: Operator) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition of dimension {h.dim} failed: {exc}") from exc
     return Spectrum(evals, vecs)
+
+
+_EPS = np.finfo(float).eps
+_BLOCK = 1 << 16  # elements of one row block in the secular kernels (512 kB)
+_MAX_SECULAR_ITERATIONS = 64
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    step = max(1, _BLOCK // max(n_cols, 1))
+    return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
+
+
+def _secular_terms(q, w, g0, g1, origin, eta, left):
+    """f, its rounding scale, and the derivatives of its two pole halves at
+    the points ``q[origin] + eta``; the left half holds the poles up to
+    index ``left`` (ascending along the rows).  Evaluated in row blocks,
+    so no n x m array is built; the sums over each half are matrix-vector
+    products, with a per-row mask only on the columns where the rows of a
+    block disagree about which half a pole belongs to."""
+    out = np.empty((4, eta.size))
+    for rows in _row_blocks(eta.size, q.size):
+        lft = left[rows]
+        cut, end = lft[0] + 1, lft[-1] + 1
+        on_left = np.arange(cut, end) <= lft[:, None]
+        inv = q - q[origin[rows], None]
+        inv -= eta[rows, None]
+        np.reciprocal(inv, out=inv)
+
+        def halves(x):  # sums of w*x over the left and the right half
+            mixed = x[:, cut:end] * w[cut:end]
+            return (x[:, :cut] @ w[:cut] + np.where(on_left, mixed, 0.0).sum(axis=1),
+                    x[:, end:] @ w[end:] + np.where(on_left, 0.0, mixed).sum(axis=1))
+
+        psi, phi = halves(inv)
+        inv *= inv
+        dpsi, dphi = halves(inv)
+        slope_part = g1 * (q[origin[rows]] + eta[rows])
+        out[:, rows] = (g0 + slope_part + psi + phi, abs(g0) + np.abs(slope_part) + phi - psi,
+                        dpsi, dphi)
+    return out
+
+
+class SecularRoots(NamedTuple):
+    """Roots ``poles[origin] + eta`` of a secular function, the slope f'
+    at each, and the largest number of evaluations any root took."""
+
+    origin: np.ndarray
+    eta: np.ndarray
+    slope: np.ndarray
+    iterations: int
+
+
+def secular_roots(poles: np.ndarray, weights: np.ndarray, g0: float = 0.0,
+                  g1: float = 0.0) -> SecularRoots:
+    """Every root of the secular function
+    ``f(mu) = g0 + g1*mu + sum_j w_j / (q_j - mu)``.
+
+    ``poles`` q_j ascend strictly, ``weights`` w_j are positive and
+    ``g1 >= 0``, so f increases strictly between poles: each of the m - 1
+    gaps holds one root, the interval below q_0 one when ``g1 > 0`` or
+    ``g0 < 0`` and the interval above q_{m-1} one when ``g1 > 0`` or
+    ``g0 > 0``.  Roots come back ascending as ``poles[origin] + eta``:
+    ``origin`` is the nearer pole, so every difference ``q_j - root`` is
+    formed as ``(q_j - q_origin) - eta`` to full relative accuracy (Bunch,
+    Nielsen & Sorensen 1978; Li 1994).  ``slope`` is f' at each root, the
+    squared norm of the eigenvector the root belongs to.
+
+    All roots iterate together, vectorised (:func:`_secular_step`): the
+    first evaluation, at the middle of each gap, picks the origin and
+    halves the bracket; every later step solves a rational model fitted
+    to f and f' and falls back to bisection when the step leaves the
+    bracket.  A root stops once |f| is at rounding level or its bracket
+    has closed, and drops out of the later evaluations.  There must be at
+    least one pole.
+    """
+    q = np.asarray(poles, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    m = q.size
+    has_left, has_right = g1 > 0 or g0 < 0, g1 > 0 or g0 > 0
+    left = np.arange(-1 if has_left else 0, m if has_right else m - 1)
+    n = left.size
+    origin = np.clip(left, 0, max(m - 1, 0))
+    gap = np.diff(q)
+    lo, hi, slope = np.zeros(n), np.zeros(n), np.zeros(n)
+    inner = (left >= 0) & (left < m - 1)
+    hi[inner] = gap[left[inner]]
+    # outer roots: lumping all weight into the end pole bounds the distance
+    # to it; twice that bound is a bracket that strictly holds the root
+    if has_left:
+        lo[0] = -2.0 * _outer_bound(g0 + g1 * q[0], g1, w.sum())
+    if has_right:
+        hi[-1] = 2.0 * _outer_bound(-(g0 + g1 * q[-1]), g1, w.sum())
+    eta = 0.5 * (lo + hi)
+    iterations = 0
+    todo = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while todo.size:
+            if iterations == _MAX_SECULAR_ITERATIONS:
+                raise NumericError(f"secular iteration did not converge in {iterations} steps")
+            iterations += 1
+            o, e, lft = origin[todo], eta[todo], left[todo]
+            f, scale, dpsi, dphi = _secular_terms(q, w, g0, g1, o, e, lft)
+            if not np.all(np.isfinite(f)):
+                raise NumericError("secular function is not finite at an iterate")
+            slope[todo] = g1 + dpsi + dphi
+            above = f > 0
+            hi[todo[above]], lo[todo[~above]] = e[above], e[~above]
+            if iterations == 1:
+                # an inner root below the midpoint lies nearer the right pole
+                flip = todo[inner[todo] & ~above]
+                origin[flip] += 1
+                for arr in (eta, lo, hi):
+                    arr[flip] -= gap[left[flip]]
+                o, e = origin[todo], eta[todo]
+            closed = hi[todo] - lo[todo] <= 4.0 * _EPS * np.maximum(-lo[todo], hi[todo])
+            keep = (np.abs(f) > 16.0 * _EPS * scale) & ~closed
+            todo, o, e, lft = todo[keep], o[keep], e[keep], lft[keep]
+            if todo.size:
+                eta[todo] = _secular_step(o, e, lft, f[keep], dpsi[keep], dphi[keep], g1,
+                                          lo[todo], hi[todo])
+    return SecularRoots(origin, eta, slope, iterations)
+
+
+def _outer_bound(a, g1, total):
+    """Positive root of ``g1 x^2 - a x - total = 0`` (``x = total/(-a)`` when
+    g1 = 0), in the form that does not cancel."""
+    root = np.sqrt(a * a + 4.0 * g1 * total)
+    return (a + root) / (2.0 * g1) if a > 0 else 2.0 * total / (root - a)
+
+
+def _secular_step(origin, eta, left, f, dpsi, dphi, g1, lo, hi):
+    """Next iterate: the root, inside (lo, hi), of ``c + g*x - s/x`` fitted
+    to f and f' at ``eta``.  The term ``-s/x`` stands for the half of the
+    poles on the origin's side (one pole at the origin), and ``c + g*x``
+    is the tangent of the rest, the far half and the linear term; both
+    are exact where they dominate, so the step converges quadratically
+    whether the root hugs the origin or sits where g1 rules.  A step that
+    leaves the bracket is replaced by bisection."""
+    near_left = origin == left
+    d_near = np.where(near_left, dpsi, dphi)
+    g = g1 + np.where(near_left, dphi, dpsi)
+    s = d_near * eta * eta
+    c = f - g * eta + s / eta
+    # g x^2 + c x - s = 0, through the root pair that does not cancel
+    half = -0.5 * (c + np.copysign(np.sqrt(c * c + 4.0 * g * s), c))
+    first, second = -s / half, half / g
+    inside = lambda x: (x > lo) & (x < hi)  # noqa: E731
+    return np.where(inside(first), first,
+                    np.where(inside(second), second, 0.5 * (lo + hi)))
+
+
+def _deflate_clusters(values, coupling, vecs, tol):
+    """Within every run of ascending ``values`` spaced by at most ``tol``,
+    rotate ``coupling`` (in place, with the matching columns of ``vecs``
+    when given) so that only the first member of the run keeps any: the
+    others become uncoupled eigenvectors, at an error of at most tol."""
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+    stops = np.append(starts[1:], values.size)
+    runs = stops - starts > 1
+    for start, stop in zip(starts[runs], stops[runs]):
+        v = coupling[start:stop].copy()
+        nrm = np.linalg.norm(v)
+        if nrm == 0:
+            continue
+        v[0] += np.copysign(nrm, v[0])  # Householder vector taking the run onto its first member
+        if vecs is not None:
+            vecs[:, start:stop] -= np.outer(vecs[:, start:stop] @ v, 2.0 * v / (v @ v))
+        coupling[start:stop] = 0.0
+        coupling[start] = -np.copysign(nrm, v[0])
+
+
+def rank_one_coupling_spectrum(c: Operator, z: np.ndarray, d: np.ndarray, b: np.ndarray,
+                               sigma: float = 0.0) -> tuple:
+    """Eigenvalues of ``H = [[C, z b^T], [b z^T, diag(d) + sigma b b^T]]``
+    and the rows of its eigenvectors on the first block only.
+
+    ``C`` is a small real :class:`Operator` (dimension K); the second block
+    is diagonal plus a rank-one term along the same ``b`` that carries the
+    coupling, so the coupling has rank one.  Eliminating ``C`` through its
+    own eigenpairs (``C = Q diag(c) Q^T``, the one dense solve, of dimension
+    K; ``zh = Q^T z``) leaves the secular equation ``F_b(mu) + 1/tau(mu) = 0``
+    with ``F_b = sum_p b_p^2/(d_p - mu)`` and
+    ``tau = sigma - sum_i zh_i^2/(c_i - mu)``.  In partial fractions
+    ``1/tau = g0 + g1*mu + sum_j w_j/(r_j - mu)``: its poles r_j are the
+    zeros of tau, the roots of a secular equation over the c_i (K of them
+    when sigma != 0, K - 1 when sigma = 0), and ``g1 = 1/|zh|^2`` when
+    sigma = 0, else 0.  Both equations go through :func:`secular_roots`.
+
+    In the basis of the pole directions (the eigenvectors
+    ``u_j = sqrt(w_j) (C - r_j)^-1 z`` of C deflated along z, and the bins)
+    H is an arrowhead or a diagonal-plus-rank-one matrix, so the first-block
+    row of the eigenvector of a root mu is
+    ``Q (sum_j sqrt(w_j) u_j/(r_j - mu) - g1 zh) / sqrt(f'(mu))``: it needs
+    the differences to the poles only, never ``mu - c_i``.  The work is
+    O(m^2) for m = K + len(d), in row blocks; nothing of size m x m is built.
+
+    Deflation, at 8 eps times the largest |c| or |d|: eigenvalues of ``C``
+    or entries of ``d`` closer than that are rotated so that one vector of
+    each run carries the coupling; an eigenvector of ``C`` whose coupling
+    ``|zh_i| |b|`` is negligible is an eigenpair of ``H`` as it stands; a
+    bin whose ``b_p`` is negligible is the eigenpair ``(d_p, e_p)`` with an
+    empty first-block row; a negligible ``sigma |b|^2`` counts as zero; a
+    bin that meets a zero of tau leaves one eigenvector at that point.
+    ``z = 0`` is the decoupled problem.  Accuracy is that of a dense solve
+    (eigenvalues to a few eps times the largest |eigenvalue|) while the
+    zeros of tau stay within the scale of the spectrum; a sigma small
+    against ``|zh|^2`` puts one far below it and costs the ratio.
+
+    Returns ``(Spectrum(evals, rows), iterations)``: all K + len(d)
+    eigenvalues ascending, ``rows`` of shape K x (K + len(d)) (real), and
+    the largest number of secular iterations any root took.  The rows
+    suffice for :meth:`Spectrum.propagate` of any state that starts in the
+    first block.  Overflow in the coupling is a NumericError.
+    """
+    z, d, b = (np.asarray(x, dtype=float) for x in (z, d, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.all(np.isfinite(z * z)) and np.isfinite(sigma * (b @ b))
+    if not finite:
+        raise NumericError("rank-one coupling overflows")
+    cav = spectrum(c)
+    c_vals, c_vecs = cav.evals, cav.vecs.copy()
+    zh = c_vecs.T @ z
+    by_d = np.argsort(d, kind="stable")
+    d, b = d[by_d], b[by_d].copy()
+    tol = 8.0 * _EPS * max(np.abs(c_vals).max(), np.abs(d).max(initial=0.0))
+    _deflate_clusters(c_vals, zh, c_vecs, tol)
+    _deflate_clusters(d, b, None, tol)
+    b_norm = np.linalg.norm(b)
+    sigma = float(sigma) if abs(sigma) * b_norm**2 > tol else 0.0
+    on_c = np.abs(zh) * b_norm > tol
+    on_p = np.abs(b) * (np.linalg.norm(zh[on_c]) + abs(sigma) * b_norm) > tol
+    if not on_p.any() or not (on_c.any() or sigma):
+        on_c[:], on_p[:] = False, False
+    evals, rows, iterations = np.zeros(0), np.zeros((c.dim, 0)), 0
+    if on_p.any():
+        evals, rows, iterations = _coupled_roots(c_vals[on_c], zh[on_c], c_vecs[:, on_c],
+                                                 d[on_p], b[on_p], sigma, tol)
+    evals = np.concatenate([evals, c_vals[~on_c], d[~on_p]])
+    rows = np.hstack([rows, c_vecs[:, ~on_c], np.zeros((c.dim, np.count_nonzero(~on_p)))])
+    by_value = np.argsort(evals, kind="stable")
+    return Spectrum(evals[by_value], rows[:, by_value]), iterations
+
+
+def _coupled_roots(c, z, vecs, d, b, sigma, tol):
+    """Eigenvalues, first-block rows and the largest iteration count of the
+    coupled eigenpairs of ``rank_one_coupling_spectrum``."""
+    z2 = z * z
+    if c.size:
+        tau = secular_roots(c, z2, g0=-sigma)  # the zeros r_j of tau
+        r = c[tau.origin] + tau.eta
+        w = 1.0 / tau.slope
+        # columns sqrt(w_j) u_j = w_j zh/(c - r_j) in the eigenbasis of C
+        g = w * z[:, None] / ((c[:, None] - c[tau.origin]) - tau.eta)
+    else:
+        tau = SecularRoots(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), 0)
+        r, w, g = np.zeros(0), np.zeros(0), np.zeros((0, 0))
+    if sigma:
+        g0, g1 = 1.0 / sigma, 0.0
+    else:
+        s0 = z2.sum()
+        g0, g1 = -(z2 @ c) / s0**2, 1.0 / s0
+    # a bin within tol of a zero of tau: the two pole directions share one
+    # eigenvector at that point and pass on one pole of their joint weight
+    above = np.searchsorted(d, r).clip(0, d.size - 1)
+    below = (above - 1).clip(0)
+    port_at = np.where(np.abs(d[above] - r) < np.abs(d[below] - r), above, below)
+    hit = np.flatnonzero(np.abs(d[port_at] - r) <= tol)
+    hit = hit[np.unique(port_at[hit], return_index=True)[1]]
+    keep_port = np.ones(d.size, dtype=bool)
+    keep_port[port_at[hit]] = False
+    bp = b[port_at[hit]]
+    shared_rows = vecs @ (-bp / np.sqrt(w[hit] * (w[hit] + bp * bp)) * g[:, hit])
+    w = w.copy()
+    w[hit] += bp * bp
+    poles = np.concatenate([d[keep_port], r])
+    by_pole = np.argsort(poles, kind="stable")
+    poles = poles[by_pole]
+    weights = np.concatenate([b[keep_port] ** 2, w])[by_pole]
+    at_tau = np.argsort(by_pole)[keep_port.sum():]  # position of r_j among the poles
+    roots = secular_roots(poles, weights, g0, g1)
+    # 1/(r_j - mu) for every root, formed from differences to the origin pole
+    inv = 1.0 / ((poles[at_tau, None] - poles[roots.origin]) - roots.eta)
+    cavity = g @ inv - (g1 * z)[:, None]
+    return (np.concatenate([poles[roots.origin] + roots.eta, r[hit]]),
+            np.hstack([vecs @ (cavity / np.sqrt(roots.slope)), shared_rows]),
+            max(tau.iterations, roots.iterations))
 
 
 def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> Spectrum:

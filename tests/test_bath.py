@@ -1,11 +1,14 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from fieldcqed import bath as bath_mod
-from fieldcqed import checks
+from fieldcqed import checks, qops
 from fieldcqed.bath import (
     InterfaceClosure,
     RegionPartition,
@@ -18,6 +21,7 @@ from fieldcqed.bath import (
     port_interface_traces,
     _completion_term,
     _coupled_matrix,
+    _one_excitation_spectrum,
 )
 from fieldcqed.dynamics import Trajectory
 from fieldcqed.errors import ContractViolationError, ModelError, NumericError
@@ -301,6 +305,50 @@ def test_decay_zero_coupling_is_constant():
     assert np.allclose(traj.series["cavity_population"], 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("bc", [A, B])
+@pytest.mark.parametrize("completion", [True, False])
+def test_zero_coupling_is_exact_decoupling(bc, completion):
+    # no secular equation is solved: the spectrum is the union of the two
+    # regions and every cavity mode is its own eigenvector
+    cavity = cavity_modes_1d(make_partition(bc), 5)
+    bath = commensurate_bath(cavity, 30)
+    spec, iterations = _one_excitation_spectrum(bath, 0.0, completion)
+    assert iterations == 0
+    assert np.array_equal(spec.evals, np.sort(np.concatenate([cavity.freqs, bath.omega_grid])))
+    cavity_columns = np.isin(spec.evals, cavity.freqs)
+    assert np.array_equal(spec.vecs[:, cavity_columns], np.eye(5))
+    assert not spec.vecs[:, ~cavity_columns].any()
+    traj = decay_simulation(bath, 3, np.linspace(0.0, 10.0, 11), 0.0, completion)
+    assert np.array_equal(traj.series["cavity_population"], np.ones(11))
+    assert traj.metadata["spectral_weight_deficit"] == 0.0
+
+
+def dense_one_excitation(bath, lam, completion):
+    return qops.spectrum(qops.Operator(_coupled_matrix(bath, lam, completion, 1.0)))
+
+
+def cavity_populations(evals, rows, t):
+    """|<k| exp(-i H t) |j>|^2 for every pair of cavity modes."""
+    return np.abs((rows * np.exp(-1j * evals * t)) @ rows.T) ** 2
+
+
+@given(closure=st.sampled_from([A, B]), completion=st.booleans(), lam=st.floats(0.0, 1.0),
+       n_modes=st.integers(1, 20), n_bins=st.integers(8, 400))
+def test_secular_solve_matches_dense_eigh(closure, completion, lam, n_modes, n_bins):
+    """The secular solve reproduces the dense eigendecomposition of the
+    one-excitation Hamiltonian: every eigenvalue to 1e-12 of the largest,
+    and every cavity-to-cavity population of the propagator, up to the
+    time over which the dense solve's own rounding stays below the bound."""
+    bath = commensurate_bath(cavity_modes_1d(make_partition(closure), n_modes), n_bins)
+    spec, _ = _one_excitation_spectrum(bath, lam, completion)
+    dense = dense_one_excitation(bath, lam, completion)
+    scale = np.abs(dense.evals).max()
+    assert np.max(np.abs(spec.evals - dense.evals)) <= 1e-12 * scale
+    for t in (0.0, 1.0, 3.0, 10.0):
+        assert np.max(np.abs(cavity_populations(spec.evals, spec.vecs, t)
+                             - cavity_populations(dense.evals, dense.vecs[:n_modes], t))) < 1e-12
+
+
 def test_decay_population_bounded_and_unitary():
     traj, _ = tuned_decay()
     pop = traj.series["cavity_population"]
@@ -320,8 +368,8 @@ def test_decay_rate_matches_golden_rule():
 def test_decay_rejects_nonfinite_grid_before_any_work(monkeypatch, t):
     # a non-finite grid used to give NaN cavity populations without a word
     def no_work(*args):
-        raise AssertionError("decay_simulation built H before checking the grid")
-    monkeypatch.setattr(bath_mod, "_coupled_matrix", no_work)
+        raise AssertionError("decay_simulation solved for the spectrum before checking the grid")
+    monkeypatch.setattr(bath_mod, "rank_one_coupling_spectrum", no_work)
     bath = commensurate_bath(cavity_modes_1d(make_partition(A), 4), 50)
     with pytest.raises(ContractViolationError, match="finite"):
         decay_simulation(bath, 0, t)
@@ -334,6 +382,72 @@ def test_decay_metadata():
     assert traj.metadata["recurrence_time"] == pytest.approx(2 * np.pi / delta)
     assert traj.metadata["kappa_fit"] > 0
     assert 0 <= traj.metadata["resonant_bin"] < 2000
+
+
+def test_decay_reports_secular_solve_deterministically():
+    traj, _ = tuned_decay()
+    meta = traj.metadata
+    assert isinstance(meta["secular_iterations"], int) and 1 <= meta["secular_iterations"] <= 16
+    # the norm column is the completeness of the starting cavity row
+    norm = traj.series["norm"]
+    assert np.all(norm == norm[0])
+    assert meta["spectral_weight_deficit"] == pytest.approx(abs(1.0 - norm[0] ** 2), abs=1e-15)
+    assert meta["spectral_weight_deficit"] < 1e-12
+    again = decay_simulation(bath_suite_bath(), 2, np.linspace(0.0, 30.0, 601),
+                             coupling_scale=0.224)
+    assert again.metadata == meta
+    assert np.array_equal(again.series["cavity_population"], traj.series["cavity_population"])
+
+
+def test_golden_rule_metadata_without_a_fit_window():
+    # the population never falls below 0.9 on this grid, so there is no fit,
+    # but the golden-rule rate and its bin are still reported
+    bath = commensurate_bath(cavity_modes_1d(make_partition(A), 4), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = decay_simulation(bath, 0, np.linspace(0.0, 0.05, 11), coupling_scale=0.224)
+    assert traj.series["cavity_population"].min() > 0.9
+    assert "kappa_fit" not in traj.metadata
+    resonant = traj.metadata["resonant_bin"]
+    assert resonant == int(np.argmin(np.abs(bath.omega_grid - bath.cavity.freqs[0])))
+    assert traj.metadata["kappa_golden_rule"] == pytest.approx(
+        2 * np.pi * (0.224 * bath.W[0, resonant]) ** 2 / bath.delta_omega, rel=1e-15)
+
+
+def bath_suite_bath():
+    """The decay run of ``checks.bath_suite``: 20 modes, 1963 bins."""
+    cavity = cavity_modes_1d(make_partition(A), 20)
+    n_bins = int(round(2.5 * cavity.freqs[2] / 0.01))
+    return port_continuum(cavity, n_bins * 0.01, n_bins)
+
+
+def test_decay_solves_no_dense_problem_beyond_the_cavity(monkeypatch):
+    bath = bath_suite_bath()
+    dims = []
+
+    def small_eigh(a, *args, **kwargs):
+        dims.append(np.shape(a)[0])
+        if np.shape(a)[0] > bath.cavity.n_modes:
+            raise AssertionError(f"dense eigensolver called at dimension {np.shape(a)[0]}")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(qops, "eigh", small_eigh)
+    traj = decay_simulation(bath, 2, np.linspace(0.0, 30.0, 601), coupling_scale=0.224)
+    assert dims == [bath.cavity.n_modes]
+    assert "kappa_fit" in traj.metadata
+
+
+def test_decay_memory_stays_below_one_dense_matrix():
+    bath = bath_suite_bath()
+    dim = bath.cavity.n_modes + bath.n_bins
+    t = np.linspace(0.0, 30.0, 601)
+    tracemalloc.start()
+    try:
+        decay_simulation(bath, 2, t, coupling_scale=0.224)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * dim * 8
 
 
 def test_decay_rate_insensitive_to_frequency_cutoff():
@@ -441,18 +555,27 @@ def reference_decay(bath, k, t, lam, boundary_completion=True):
     return np.sum(np.abs(amps[:k_cav, :]) ** 2, axis=0), np.linalg.norm(amps, axis=0)
 
 
-@pytest.mark.parametrize("bc, k, lam", [(A, 2, 0.224), (B, 1, 0.3)])
-def test_decay_matches_inline_eigh_reference(bc, k, lam):
+def check_decay_against_reference(bc, k, lam, completion):
     part = make_partition(bc)
     cavity = cavity_modes_1d(part, 20)
     bath = commensurate_bath(cavity, 400)
     t = np.linspace(0.0, 30.0, 301)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        traj = decay_simulation(bath, k, t, coupling_scale=lam)
-    pop, norm = reference_decay(bath, k, t, lam)
+        traj = decay_simulation(bath, k, t, coupling_scale=lam, boundary_completion=completion)
+    pop, norm = reference_decay(bath, k, t, lam, boundary_completion=completion)
     assert np.max(np.abs(traj.series["cavity_population"] - pop)) < 1e-12
     assert np.max(np.abs(traj.series["norm"] - norm)) < 1e-12
+
+
+@pytest.mark.parametrize("bc, k, lam", [(A, 2, 0.224), (B, 1, 0.3)])
+def test_decay_matches_inline_eigh_reference(bc, k, lam):
+    check_decay_against_reference(bc, k, lam, completion=True)
+
+
+@pytest.mark.parametrize("bc, k, lam", [(A, 2, 0.224), (B, 1, 0.3)])
+def test_decay_without_completion_matches_inline_eigh_reference(bc, k, lam):
+    check_decay_against_reference(bc, k, lam, completion=False)
 
 
 def test_overflowing_coupling_scale_is_a_numeric_error():

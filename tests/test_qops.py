@@ -246,3 +246,123 @@ def test_only_qops_binds_scipy_eigh():
                           for v in vars(importlib.import_module(f"fieldcqed.{info.name}")).values())]
         assert binders == ["qops"], solver.__name__
         assert not any(v is solver for v in vars(fieldcqed).values())
+
+
+def dense_coupled(c, z, d, b, sigma):
+    """The matrix [[C, z b^T], [b z^T, diag(d) + sigma b b^T]], solved densely."""
+    k = c.shape[0]
+    h = np.zeros((k + d.size, k + d.size))
+    h[:k, :k] = c
+    h[k:, k:] = np.diag(d) + sigma * np.outer(b, b)
+    h[:k, k:] = np.outer(z, b)
+    h[k:, :k] = h[:k, k:].T
+    return spectrum(Operator(h))
+
+
+def propagator_rows(evals, rows, t):
+    return (rows * np.exp(-1j * evals * t)) @ rows.T
+
+
+def assert_matches_dense(c, z, d, b, sigma):
+    spec, iterations = qops.rank_one_coupling_spectrum(Operator(c), z, d, b, sigma)
+    dense = dense_coupled(c, z, d, b, sigma)
+    k = c.shape[0]
+    assert spec.vecs.shape == (k, k + d.size)
+    assert np.max(np.abs(spec.evals - dense.evals)) <= 1e-12 * np.abs(dense.evals).max()
+    for t in (0.0, 1.0, 3.0):
+        assert np.max(np.abs(propagator_rows(spec.evals, spec.vecs, t)
+                             - propagator_rows(dense.evals, dense.vecs[:k], t))) < 1e-12
+    return spec, iterations
+
+
+def coupled_block(seed, k, n_bins):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(k, k))
+    return (m + m.T) + 4.0 * np.eye(k), rng.normal(size=k), \
+        np.sort(rng.uniform(0.0, 10.0, n_bins)), 0.3 * rng.normal(size=n_bins)
+
+
+class TestSecularRoots:
+    @pytest.mark.parametrize("rho", [0.05, 2.0, -0.5])
+    def test_diagonal_plus_rank_one(self, rho):
+        # f = 1/rho + sum w/(q - mu) is the secular function of diag(q) + rho v v^T
+        rng = np.random.default_rng(3)
+        q, v = np.sort(rng.uniform(-5.0, 5.0, 60)), rng.normal(size=60)
+        roots = qops.secular_roots(q, v * v, g0=1.0 / rho)
+        mu = q[roots.origin] + roots.eta
+        exact = np.linalg.eigvalsh(np.diag(q) + rho * np.outer(v, v))
+        assert np.max(np.abs(mu - exact)) < 1e-13 * np.abs(exact).max()
+        delta = (q - q[roots.origin, None]) - roots.eta[:, None]
+        assert np.allclose(roots.slope, (v * v / delta**2).sum(axis=1), rtol=1e-12)
+
+    def test_arrowhead(self):
+        # f = g0 + g1 mu + sum w/(q - mu) is the secular function of the
+        # arrowhead with corner -g0/g1 and arrow sqrt(w/g1)
+        rng = np.random.default_rng(4)
+        q, w = np.sort(rng.uniform(0.0, 8.0, 40)), rng.uniform(0.01, 1.0, 40)
+        g0, g1 = -3.0, 0.7
+        roots = qops.secular_roots(q, w, g0, g1)
+        arrow = np.diag(np.concatenate([[-g0 / g1], q]))
+        arrow[0, 1:] = arrow[1:, 0] = np.sqrt(w / g1)
+        exact = np.linalg.eigvalsh(arrow)
+        assert np.max(np.abs(q[roots.origin] + roots.eta - exact)) < 1e-13 * np.abs(exact).max()
+
+    def test_roots_hugging_their_poles(self):
+        # weights far below the pole spacing leave each root within
+        # rounding of a pole, which only the offset eta resolves
+        # (to first order eta = w, since the other poles add only ~w to f)
+        q = np.arange(1.0, 9.0)
+        roots = qops.secular_roots(q, np.full(8, 1e-20), g0=1.0)
+        assert np.array_equal(q[roots.origin], q)
+        assert np.allclose(roots.eta, 1e-20, rtol=1e-14, atol=0.0)
+        assert roots.iterations <= 8
+
+
+class TestRankOneCouplingSpectrum:
+    @pytest.mark.parametrize("sigma", [0.0, 0.8])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_dense(self, seed, sigma):
+        assert_matches_dense(*coupled_block(seed, 6, 80), sigma)
+
+    def test_zero_bin_coupling_is_dropped(self, monkeypatch):
+        c, z, d, b = coupled_block(5, 4, 30)
+        b[7] = 0.0
+        poles = []
+        solve = qops.secular_roots
+        monkeypatch.setattr(qops, "secular_roots",
+                            lambda q, *a, **k: poles.append(q.copy()) or solve(q, *a, **k))
+        spec, _ = assert_matches_dense(c, z, d, b, 0.4)
+        assert d[7] not in poles[-1]
+        column = np.flatnonzero(spec.evals == d[7])
+        assert column.size == 1 and not spec.vecs[:, column].any()
+
+    def test_uncoupled_cavity_eigenvector_is_kept(self):
+        c, z, d, b = coupled_block(6, 5, 30)
+        c = np.diag([1.5, 2.5, 3.5, 4.5, 5.5])
+        z[2] = 0.0
+        spec, _ = assert_matches_dense(c, z, d, b, 0.0)
+        column = np.flatnonzero(spec.evals == 3.5)
+        assert column.size == 1
+        assert np.array_equal(np.abs(spec.vecs[:, column[0]]), np.eye(5)[2])
+
+    def test_degenerate_cavity_eigenvalues(self):
+        c, z, d, b = coupled_block(7, 4, 30)
+        c = np.diag([2.0, 2.0, 2.0, 6.0])
+        assert_matches_dense(c, z, d, b, 0.0)
+        assert_matches_dense(c, z, d, b, 0.5)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_bin_on_a_zero_of_tau(self, sigma):
+        c, z, d, b = coupled_block(8, 4, 30)
+        c = np.diag([1.0, 3.0, 5.0, 7.0])
+        tau = qops.secular_roots(np.diag(c), z * z, g0=-sigma)
+        d[11] = np.diag(c)[tau.origin[1]] + tau.eta[1]
+        assert_matches_dense(c, z, np.sort(d), b, sigma)
+
+    def test_overflowing_coupling_is_a_numeric_error(self):
+        c, z, d, b = coupled_block(9, 3, 20)
+        with np.errstate(all="raise"):
+            with pytest.raises(NumericError, match="overflows"):
+                qops.rank_one_coupling_spectrum(Operator(c), 1e200 * z, d, b)
+            with pytest.raises(NumericError, match="overflows"):
+                qops.rank_one_coupling_spectrum(Operator(c), z, d, b, 1e308 * 1e10)
