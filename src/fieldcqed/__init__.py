@@ -54,6 +54,7 @@ from .transmon import (
     charge_matrix_element,
     charge_number_op,
     cos_phi_op,
+    level_sweep,
     sin_phi_op,
     solve,
     transition_dispersion,

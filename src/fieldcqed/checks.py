@@ -70,12 +70,10 @@ def gauge_invariance_suite():
     grid = [(5.0, 0.0), (15.0, 0.25), (30.0, 0.5), (50.0, 0.3), (80.0, 0.15)]
     worst = 0.0
     for ratio, ng in grid:
-        plus = tq.solve(tq.TransmonParams(EC=ec, EJ=ratio * ec, ng=ng,
-                                          sign=tq.TunnelingSign.PLUS))
-        minus = tq.solve(tq.TransmonParams(EC=ec, EJ=ratio * ec, ng=ng,
-                                           sign=tq.TunnelingSign.MINUS))
-        scale = max(np.max(np.abs(plus.levels)), 1.0)
-        worst = max(worst, float(np.max(np.abs(plus.levels - minus.levels)) / scale))
+        plus, minus = (tq.level_sweep(tq.TransmonParams(EC=ec, EJ=ratio * ec, sign=sign), [ng])[0]
+                       for sign in tq.TunnelingSign)
+        scale = max(np.max(np.abs(plus)), 1.0)
+        worst = max(worst, float(np.max(np.abs(plus - minus)) / scale))
     results = [_under("spectrum gauge invariance", worst, 1e-12,
                       "5-point (EJ/EC, ng) grid")]
     return results, {"gauge_spread": worst}

@@ -140,10 +140,8 @@ def run_transmon(cfg: RunConfig, verbose: bool) -> RunResult:
     sweep = cfg.sweep or {}
     ngs = np.linspace(sweep.get("start", 0.0), sweep.get("stop", 1.0),
                       sweep.get("n_points", 21))
-    rows = []
-    for ng in ngs:
-        s = tq.solve(replace(p0, ng=float(ng)))
-        rows.extend((ng, lvl, s.levels[lvl]) for lvl in range(n_levels))
+    rows = [(ng, lvl, w[lvl]) for ng, w in zip(ngs, tq.level_sweep(p0, ngs))
+            for lvl in range(n_levels)]
     s0 = tq.solve(p0)
     scalars = {
         "anharmonicity": float(tq.anharmonicity(s0)),

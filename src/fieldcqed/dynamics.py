@@ -21,8 +21,8 @@ from .transmon import (
     TransmonParams,
     build_charge_hamiltonian,
     charge_number_op,
+    level_sweep,
     sin_phi_op,
-    solve,
 )
 
 # populations per basis label are recorded automatically up to this dimension
@@ -198,7 +198,7 @@ def ehrenfest_residual(p: TransmonParams, times, n_expect, sin_phi) -> float:
         raise ContractViolationError(
             f"the centered derivative needs at least 3 time points, got {t.size}")
     dt = _uniform_dt(t)
-    evals = solve(p).levels
+    evals = level_sweep(p, [p.ng])[0]
     spread = float(evals[-1] - evals[0])
     if dt * spread > 0.5:
         warnings.warn(

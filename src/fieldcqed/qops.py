@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dstevd
 
 from .errors import ContractViolationError, DimensionMismatchError, NumericError
 
@@ -173,11 +174,11 @@ def spectrum(h: Operator) -> Spectrum:
     Every dense eigendecomposition in the package goes through here, and
     :meth:`Spectrum.propagate` is the one propagator: ``dynamics.evolve``
     uses it on this spectrum, ``bath.decay_simulation`` on the cavity rows
-    from :func:`rank_one_coupling_spectrum` (``transmon.solve`` takes
-    :func:`tridiagonal_spectrum`).  ``h`` is hermitian by construction of
-    :class:`Operator`.  A real operator
-    (every charge, coupled and bath Hamiltonian this package builds) goes
-    to the real-symmetric divide-and-conquer solver, several times faster
+    from :func:`rank_one_coupling_spectrum` (the transmon's ``solve`` and
+    ``level_sweep`` take :func:`tridiagonal_spectrum`).  ``h`` is hermitian
+    by construction of :class:`Operator`.  A real operator (every charge,
+    coupled and bath Hamiltonian this package builds) goes to the
+    real-symmetric divide-and-conquer solver, several times faster
     than the complex one; complex operators keep the complex hermitian
     solver.  A LAPACK failure is raised as NumericError.
     """
@@ -476,22 +477,35 @@ def _coupled_roots(c, z, vecs, d, b, sigma, tol):
 
 def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> Spectrum:
     """Eigendecomposition of the real symmetric tridiagonal matrix with
-    main diagonal ``diag`` and first off-diagonal ``off``.
+    main diagonal ``diag`` and first off-diagonal ``off``, or of a stack of
+    them: ``diag`` of shape (b, n) holds b main diagonals that share ``off``.
 
-    It runs LAPACK ``stevd``, the divide-and-conquer step that the dense
-    ``evd`` solver of :func:`spectrum` runs after reducing a matrix to
-    tridiagonal form; on a matrix that is tridiagonal already the reduction
-    is the identity, so both return the same eigenpairs.  Non-finite bands
-    and LAPACK failures are raised as NumericError.
+    Each matrix is one call of LAPACK ``stevd``, the divide-and-conquer step
+    that the dense ``evd`` solver of :func:`spectrum` runs after reducing a
+    matrix to tridiagonal form; on a matrix that is tridiagonal already the
+    reduction is the identity, so both return the same eigenpairs.  A stack
+    gives ``evals`` of shape (b, n) and ``vecs`` of shape (b, n, n), and each
+    ``vecs[k]`` is Fortran-ordered, as LAPACK returns it, so its columns are
+    contiguous.  The bands are checked finite once per call.  Non-finite
+    bands and LAPACK failures are raised as NumericError.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise NumericError("tridiagonal matrix contains non-finite entries")
-    try:
-        evals, vecs = eigh_tridiagonal(d, e, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition of dimension {d.size} failed: {exc}") from exc
+    rows = d.reshape(-1, d.shape[-1])
+    n = rows.shape[1]
+    if n == 1 and e.size == 0:  # the stevd binding takes one off-diagonal entry even then
+        e = np.zeros(1)
+    evals = np.empty(rows.shape)
+    vecs = np.empty((rows.shape[0], n, n)).transpose(0, 2, 1)
+    for k, row in enumerate(rows):
+        evals[k], vecs[k], info = dstevd(row, e)
+        if info:
+            raise NumericError(f"eigendecomposition of dimension {n} failed: "
+                               f"stevd did not converge (info {info})")
+    if d.ndim == 1:
+        return Spectrum(evals[0], vecs[0])
     return Spectrum(evals, vecs)
 
 

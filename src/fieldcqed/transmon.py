@@ -9,7 +9,7 @@ same units.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,17 +99,20 @@ def sin_phi_op(n_cutoff: int, sign: TunnelingSign = TunnelingSign.PLUS) -> Opera
     return Operator(s * (S - S.T) / 2j)
 
 
-def _charge_bands(p: TransmonParams) -> tuple:
+def _charge_bands(p: TransmonParams, ngs) -> tuple:
     """(diag, off): the charge Hamiltonian is tridiagonal, with 4 E_C (N - n_g)^2
-    on the diagonal and +-E_J/2 on both first off-diagonals."""
+    on the diagonal and +-E_J/2 on both first off-diagonals.  ``diag`` has
+    one row per offset charge in ``ngs`` (a scalar gives a single row, 1-D);
+    ``off`` does not depend on n_g."""
     n_vals = np.arange(-p.n_cutoff, p.n_cutoff + 1, dtype=float)
     off = p.EJ / 2.0 if p.sign is TunnelingSign.PLUS else -p.EJ / 2.0
-    return 4.0 * p.EC * (n_vals - p.ng) ** 2, np.full(p.dim - 1, off)
+    ngs = np.asarray(ngs, dtype=float)[..., None]
+    return 4.0 * p.EC * (n_vals - ngs) ** 2, np.full(p.dim - 1, off)
 
 
 def build_charge_hamiltonian(p: TransmonParams) -> Operator:
     """The charge Hamiltonian as a dense Operator (see ``_charge_bands``)."""
-    diag, off = _charge_bands(p)
+    diag, off = _charge_bands(p, p.ng)
     return Operator(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
@@ -127,23 +130,54 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * (np.conj(pivot) / np.abs(pivot))
 
 
-def solve(p: TransmonParams) -> TransmonSolution:
-    """Levels and phase-fixed eigenvectors from the tridiagonal solver.
+_NG_BLOCK = 16  # n_g points solved together: one block of eigenvectors is alive at a time
 
-    Each eigenpair must satisfy ||H v - w v|| <= 1e-10 max(||H||, 1); H v
-    is the tridiagonal product, O(dim) per vector.
+
+def _checked_spectrum(p: TransmonParams, ngs: np.ndarray):
+    """Eigenpairs of the charge Hamiltonian of ``p`` at each n_g of the
+    block ``ngs``, stacked as ``qops.tridiagonal_spectrum`` returns them.
+
+    Every eigenpair must satisfy ||H v - w v|| <= 1e-10 max(||H||, 1),
+    checked over the whole block at once; H v is the tridiagonal product,
+    O(dim) per vector.
     """
-    diag, off = _charge_bands(p)
+    diag, off = _charge_bands(p, ngs)
     spec = tridiagonal_spectrum(diag, off)
     v = spec.vecs
-    hv = diag[:, None] * v
-    hv[:-1] += off[:, None] * v[1:]
-    hv[1:] += off[:, None] * v[:-1]
-    resid = np.linalg.norm(hv - v * spec.evals, axis=0)
-    hnorm = float(np.abs(spec.evals).max())  # ||H||_2 of a hermitian H
-    if np.any(resid > 1e-10 * max(hnorm, 1.0)):
+    hv = diag[:, :, None] * v
+    hv[:, :-1] += off[:, None] * v[:, 1:]
+    hv[:, 1:] += off[:, None] * v[:, :-1]
+    hv -= v * spec.evals[:, None, :]
+    resid = np.linalg.norm(hv, axis=1)
+    hnorm = np.abs(spec.evals).max(axis=1)  # ||H||_2 of a hermitian H
+    if np.any(resid > 1e-10 * np.maximum(hnorm, 1.0)[:, None]):
         raise NumericError(f"eigenpair residual {resid.max():.3e} exceeds 1e-10 * ||H||")
-    return TransmonSolution(levels=spec.evals, eigvecs=_fix_phases(spec.vecs), params=p)
+    return spec
+
+
+def level_sweep(p: TransmonParams, ngs) -> np.ndarray:
+    """Sorted levels at every offset charge of the 1-D grid ``ngs`` (``p.ng``
+    is ignored), one row per point: shape (len(ngs), dim).
+
+    The same levels as ``solve`` at each point, bit for bit, without the
+    eigenvectors: points are solved in blocks of 16, and only one block's
+    eigenvectors exist at a time.
+    """
+    ngs = np.asarray(ngs, dtype=float)
+    levels = np.empty((ngs.size, p.dim))
+    for start in range(0, ngs.size, _NG_BLOCK):
+        block = slice(start, start + _NG_BLOCK)
+        levels[block] = _checked_spectrum(p, ngs[block]).evals
+    return levels
+
+
+def solve(p: TransmonParams) -> TransmonSolution:
+    """Levels and phase-fixed eigenvectors from the tridiagonal solver,
+    through the same checked kernel as ``level_sweep`` (a one-point block).
+    ``eigvecs`` is Fortran-ordered, as LAPACK returns it, so each
+    eigenvector is a contiguous column."""
+    spec = _checked_spectrum(p, np.array([p.ng], dtype=float))
+    return TransmonSolution(levels=spec.evals[0], eigvecs=_fix_phases(spec.vecs[0]), params=p)
 
 
 def charge_matrix_element(s: TransmonSolution, i: int, j: int) -> float:
@@ -167,12 +201,12 @@ def _ng_spread(p: TransmonParams, value) -> float:
     Starts from a 21-point uniform grid and doubles the resolution (up to
     321 points) until the estimate moves by less than 1%.  The (2n-1)-point
     grid holds the n-point grid exactly, so each refinement solves only the
-    new midpoints.
+    new midpoints, in one ``level_sweep``.
     """
     vals = []
 
     def spread(ngs) -> float:
-        vals.extend(value(solve(replace(p, ng=ng)).levels) for ng in ngs)
+        vals.extend(value(w) for w in level_sweep(p, ngs))
         return float(max(vals) - min(vals))
 
     n_points = 21

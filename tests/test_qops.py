@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 from scipy.linalg import eigh, expm
 
 from fieldcqed import (
@@ -13,7 +15,7 @@ from fieldcqed import (
 )
 from fieldcqed import qops
 from fieldcqed.qops import Spectrum, _is_hermitian, expectation_series, spectrum
-from fieldcqed.transmon import TransmonParams, sin_phi_op, solve
+from fieldcqed.transmon import TransmonParams, level_sweep, sin_phi_op, solve
 
 
 def random_hermitian(dim, seed):
@@ -210,13 +212,47 @@ def test_solver_failure_is_a_numeric_error(monkeypatch):
 
 
 def test_tridiagonal_solver_failure_is_a_numeric_error(monkeypatch):
-    def failing_eigh_tridiagonal(*args, **kwargs):
-        raise np.linalg.LinAlgError("eigenvalues did not converge")
-    monkeypatch.setattr(qops, "eigh_tridiagonal", failing_eigh_tridiagonal)
+    def failing_stevd(d, e):
+        w, v, _ = scipy.linalg.lapack.dstevd(d, e)
+        return w, v, 3  # LAPACK's report that stevd did not converge
+    monkeypatch.setattr(qops, "dstevd", failing_stevd)
     with pytest.raises(NumericError, match="did not converge"):
         qops.tridiagonal_spectrum(np.arange(3.0), np.ones(2))
     with pytest.raises(NumericError, match="did not converge"):
+        qops.tridiagonal_spectrum(np.arange(6.0).reshape(2, 3), np.ones(2))
+    with pytest.raises(NumericError, match="did not converge"):
         solve(TransmonParams(1.0, 5.0))
+    with pytest.raises(NumericError, match="did not converge"):
+        level_sweep(TransmonParams(1.0, 5.0), np.linspace(0.0, 1.0, 40))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stacked_tridiagonal_rejects_nonfinite_bands(bad):
+    d = np.zeros((3, 4))
+    d[1, 2] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        qops.tridiagonal_spectrum(d, np.ones(3))
+    with pytest.raises(NumericError, match="non-finite"):
+        qops.tridiagonal_spectrum(np.zeros((3, 4)), np.array([1.0, bad, 1.0]))
+
+
+def test_stacked_tridiagonal_matches_one_matrix_at_a_time():
+    """Each row of a stack gives the eigenpairs of its matrix alone, bit
+    for bit, with every eigenvector block Fortran-ordered as stevd returns
+    it."""
+    rng = np.random.default_rng(11)
+    d, e = rng.normal(size=(5, 9)), rng.normal(size=8)
+    stack = qops.tridiagonal_spectrum(d, e)
+    assert stack.evals.shape == (5, 9) and stack.vecs.shape == (5, 9, 9)
+    for k in range(5):
+        one = qops.tridiagonal_spectrum(d[k], e)
+        w, v = scipy.linalg.eigh_tridiagonal(d[k], e)
+        assert np.array_equal(stack.evals[k], w) and np.array_equal(one.evals, w)
+        assert np.array_equal(stack.vecs[k], v) and np.array_equal(one.vecs, v)
+        assert stack.vecs[k].flags.f_contiguous and one.vecs.flags.f_contiguous
+    single = qops.tridiagonal_spectrum(np.array([[2.0], [-1.0]]), np.zeros(0))
+    assert np.array_equal(single.evals, [[2.0], [-1.0]])
+    assert np.array_equal(single.vecs, np.ones((2, 1, 1)))
 
 
 def test_tridiagonal_matches_dense_evd():
@@ -236,11 +272,9 @@ def test_only_qops_binds_scipy_eigh():
     import importlib
     import pkgutil
 
-    import scipy.linalg
-
     import fieldcqed
 
-    for solver in (scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal):
+    for solver in (scipy.linalg.eigh, scipy.linalg.lapack.dstevd):
         binders = [info.name for info in pkgutil.iter_modules(fieldcqed.__path__)
                    if any(v is solver
                           for v in vars(importlib.import_module(f"fieldcqed.{info.name}")).values())]

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from fieldcqed import transmon
+from fieldcqed import qops, transmon
 from fieldcqed.errors import ContractViolationError, NumericError
 from fieldcqed.transmon import (
     TransmonParams,
+    TransmonSolution,
     TunnelingSign,
     anharmonicity,
     build_charge_hamiltonian,
@@ -17,6 +19,7 @@ from fieldcqed.transmon import (
     charge_matrix_element,
     charge_number_op,
     cos_phi_op,
+    level_sweep,
     sin_phi_op,
     solve,
     transition_dispersion,
@@ -139,6 +142,11 @@ class TestSolve:
         p = replace(TransmonParams(1.0, 5.0, ng=0.2), **{field: value})
         with pytest.raises(NumericError):
             solve(p)
+        ngs = np.linspace(0.0, 1.0, 40)
+        if field == "ng":  # a bad point in the middle of the second block
+            ngs[20], p = value, replace(p, ng=0.2)
+        with pytest.raises(NumericError, match="non-finite"):
+            level_sweep(p, ngs)
 
     def test_ng_symmetries(self):
         base = solve(TransmonParams(1.0, 30.0, ng=0.21)).levels[:6]
@@ -165,6 +173,75 @@ def test_solve_matches_dense_eigh(ec, ratio, ng, n_cutoff, sign):
     gaps = np.minimum(np.diff(w, prepend=-np.inf), np.diff(w, append=np.inf))
     for lvl in np.flatnonzero(gaps > 1e-6 * scale):
         assert np.max(np.abs(s.eigvecs[:, lvl] - ref[:, lvl])) < 1e-9, lvl
+
+
+def parent_solve(p):
+    """The per-point solve that ``level_sweep`` and ``solve`` replaced, kept
+    as the reference: the bands of one n_g, SciPy's tridiagonal solver, and
+    the phase fixing."""
+    n_vals = np.arange(-p.n_cutoff, p.n_cutoff + 1, dtype=float)
+    off = p.EJ / 2.0 if p.sign is TunnelingSign.PLUS else -p.EJ / 2.0
+    w, v = eigh_tridiagonal(4.0 * p.EC * (n_vals - p.ng) ** 2, np.full(p.dim - 1, off),
+                            check_finite=False)
+    return TransmonSolution(levels=w, eigvecs=transmon._fix_phases(v), params=p)
+
+
+@given(ec=st.floats(0.05, 5.0), ratio=st.floats(0.0, 200.0), n_cutoff=st.integers(1, 40),
+       sign=st.sampled_from(TunnelingSign), n_points=st.sampled_from([1, 15, 16, 17, 401]),
+       start=st.floats(-1.0, 2.0), stop=st.floats(-1.0, 2.0))
+def test_blocked_sweep_is_bit_identical_to_per_point_solves(ec, ratio, n_cutoff, sign,
+                                                           n_points, start, stop):
+    """Grids of 1, 15, 16, 17 and 401 points split unevenly into blocks of 16;
+    every level, eigenvector and charge matrix element equals the
+    per-point reference exactly, and eigenvectors stay Fortran-ordered."""
+    p = TransmonParams(ec, ratio * ec, 0.0, n_cutoff, sign)
+    ngs = np.linspace(start, stop, n_points)
+    levels = level_sweep(p, ngs)
+    assert levels.shape == (n_points, p.dim)
+    for ng, row in zip(ngs, levels):
+        q = replace(p, ng=float(ng))
+        ref = parent_solve(q)
+        s = solve(q)
+        assert np.array_equal(row, ref.levels)
+        assert np.array_equal(s.levels, ref.levels)
+        assert np.array_equal(s.eigvecs, ref.eigvecs)
+        assert s.eigvecs.flags.f_contiguous
+        assert charge_matrix_element(s, 0, 1) == charge_matrix_element(ref, 0, 1)
+
+
+def test_perturbed_eigenpair_mid_block_fails_the_residual_check(monkeypatch):
+    """The block's vectorised residual check sees one bad eigenpair among
+    sixteen good ones."""
+    calls = []
+    real = qops.dstevd
+
+    def perturbed(d, e):
+        w, v, info = real(d, e)
+        calls.append(d)
+        if len(calls) == 24:  # the 8th row of the second 16-point block
+            w = w.copy()
+            w[3] += 1e-6 * np.abs(w).max()
+        return w, v, info
+
+    monkeypatch.setattr(qops, "dstevd", perturbed)
+    with pytest.raises(NumericError, match="eigenpair residual"):
+        level_sweep(TransmonParams(1.0, 20.0), np.linspace(0.0, 1.0, 40))
+    assert len(calls) == 32  # the failing block was solved, the third never started
+
+
+def test_level_sweep_holds_one_block_of_eigenvectors():
+    """401 points at dim 41 hold 5.4 MB of eigenvectors in all; a sweep
+    keeps one 16-point block (215 kB) alive at a time."""
+    p = TransmonParams(1.0, 20.0, n_cutoff=20)
+    ngs = np.linspace(0.0, 1.0, 401)
+    level_sweep(p, ngs[:17])  # warm up lazy imports outside the traced window
+    tracemalloc.start()
+    try:
+        level_sweep(p, ngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def mathieu_levels(ec, ej, ng, n_levels, terms=60):
@@ -254,14 +331,17 @@ class TestDispersion:
 
     def test_transition_dispersion_solves_each_grid_point_once(self, monkeypatch):
         # grids of 21, 41, 81, ... points, each holding the one before; one
-        # solve per distinct point serves both levels and every refinement
-        calls = []
-        real_solve = transmon.solve
-        monkeypatch.setattr(transmon, "solve", lambda p: calls.append(p.ng) or real_solve(p))
+        # solve per distinct point serves both levels and every refinement.
+        # Each point is one diagonal row through the shared tridiagonal
+        # kernel, and distinct n_g give distinct rows.
+        rows = []
+        real = transmon.tridiagonal_spectrum
+        monkeypatch.setattr(transmon, "tridiagonal_spectrum",
+                            lambda diag, off: rows.extend(map(tuple, diag)) or real(diag, off))
         p = TransmonParams(1.0, 5.0)
         assert transition_dispersion(p, 0, 1) > 0.0
-        assert len(calls) in (41, 81, 161, 321)
-        assert len(set(calls)) == len(calls)
+        assert len(rows) in (41, 81, 161, 321)
+        assert len(set(rows)) == len(rows)
 
     @pytest.mark.parametrize("ratio", [0.0, 1.0, 5.0, 50.0])
     def test_refinement_matches_full_grid_solves(self, ratio):
