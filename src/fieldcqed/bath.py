@@ -182,45 +182,56 @@ def port_continuum(cavity: CavityModes, omega_max: float, n_bins: int) -> BathDi
                               W=coupling_coefficients(cavity, grid, delta))
 
 
-def _completion_term(bath: BathDiscretization):
+def _completion_term(bath: BathDiscretization) -> tuple:
     """Completion (contact) term restoring positive definiteness.
 
     The truncated basis on one side of the interface cannot represent a
     nonzero boundary value there; the exact quadratic form of the closed
-    universe leaves behind a rank-one boundary penalty on the other side.
-    Returns (slice_in_full_matrix, coefficient, vector).
+    universe leaves behind a rank-one boundary penalty ``coeff v v^T`` on
+    the other side: the cavity block under the PMC cavity closure, the port
+    block under the PEC one.  Returns (coefficient, vector).
     """
     part, cavity = bath.part, bath.cavity
     c = part.wave_speed
-    k_cav = cavity.n_modes
     if part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
         # port basis vanishes at the interface: penalty lands on the cavity
         d_eff = np.pi * c / bath.delta_omega
         coeff = c**2 * (2 * bath.n_bins + 1) / (2.0 * d_eff)
-        return slice(0, k_cav), coeff, cavity.interface_traces()[0] / np.sqrt(cavity.freqs)
-    coeff = c**2 * (2 * k_cav + 1) / (2.0 * part.cavity_length)
+        return coeff, cavity.interface_traces()[0] / np.sqrt(cavity.freqs)
+    coeff = c**2 * (2 * cavity.n_modes + 1) / (2.0 * part.cavity_length)
     psi = port_interface_traces(part, bath.omega_grid)[0]
-    v = psi * np.sqrt(bath.delta_omega) / np.sqrt(bath.omega_grid)
-    return slice(k_cav, k_cav + bath.n_bins), coeff, v
+    return coeff, psi * np.sqrt(bath.delta_omega) / np.sqrt(bath.omega_grid)
 
 
-def _coupled_matrix(bath: BathDiscretization, lam: float, boundary_completion: bool,
-                    factor: float) -> np.ndarray:
-    """diag(omega) + factor * (lam W blocks + lam^2 completion term): the
-    one-excitation Hamiltonian for factor 1, the classical quadrature block
-    for factor 2.  Overflow leaves inf entries, without a warning."""
-    k_cav = bath.cavity.n_modes
-    om = np.concatenate([bath.cavity.freqs, bath.omega_grid])
-    m = np.zeros((om.size, om.size))
+def _coupled_form(bath: BathDiscretization, lam: float, boundary_completion: bool,
+                  factor: float) -> tuple:
+    """The form ``diag(omega) + factor (lam W blocks + lam^2 completion
+    term)`` (the one-excitation Hamiltonian for factor 1, the classical
+    quadrature block before its scaling by sqrt(omega) for factor 2) as the
+    parts ``(C, z, b, sigma)`` of ``qops.rank_one_coupling_spectrum``.
+
+    ``factor lam W = z b^T`` up to rounding, from the closed-form traces:
+    ``z = factor lam (c^2/2)(u_k' - u_k)/sqrt(omega_k)`` and ``b = (psi_p +
+    psi_p') sqrt(delta_omega)/sqrt(omega_p)``, where one term of each sum is
+    exactly zero.  The completion term lies in the cavity block C, or, under
+    the PMC port closure, where ``b`` is bit for bit its vector, in ``sigma
+    b b^T``.  Overflow leaves inf or nan entries, without a warning.
+    """
+    c = bath.part.wave_speed
+    u, du = bath.cavity.interface_traces()
+    psi, dpsi = port_interface_traces(bath.part, bath.omega_grid)
+    b = (psi + dpsi) * np.sqrt(bath.delta_omega) / np.sqrt(bath.omega_grid)
+    cavity_block = np.diag(bath.cavity.freqs)
+    sigma = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        m[:k_cav, k_cav:] = lam * bath.W
-        m[k_cav:, :k_cav] = lam * bath.W.T
         if boundary_completion:
-            block, coeff, v = _completion_term(bath)
-            m[block, block] = lam * lam * coeff * np.outer(v, v)
-        m *= factor
-    m[np.diag_indices_from(m)] += om
-    return m
+            coeff, v = _completion_term(bath)
+            if bath.part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
+                cavity_block += factor * lam * lam * coeff * np.outer(v, v)
+            else:
+                sigma = factor * lam * lam * coeff
+        z = factor * lam * ((c**2 / 2.0) * (du - u) / np.sqrt(bath.cavity.freqs))
+    return cavity_block, z, b, sigma
 
 
 def normal_mode_spectrum(bath: BathDiscretization, coupling_scale: float = 1.0,
@@ -231,15 +242,23 @@ def normal_mode_spectrum(bath: BathDiscretization, coupling_scale: float = 1.0,
     definite and the spectrum converges to the closed-universe standing
     waves as the truncations grow.  Without it the truncated form is
     indefinite and a ModelError reports the failure.
+
+    The squared frequencies are the eigenvalues of ``S M S``, with M the
+    form of ``_coupled_form`` at factor 2 and S = diag(sqrt(omega)).  Scaled
+    by S, its parts keep their rank-one shape, so
+    ``qops.rank_one_coupling_spectrum`` solves it in O(m^2) for m = K +
+    n_bins, with one dense solve of the K x K cavity block.
     """
     lam = float(coupling_scale)
-    m = _coupled_matrix(bath, lam, boundary_completion, 2.0)
-    s = np.sqrt(np.concatenate([bath.cavity.freqs, bath.omega_grid]))
+    c, z, b, sigma = _coupled_form(bath, lam, boundary_completion, 2.0)
+    s_c = np.sqrt(bath.cavity.freqs)
     with np.errstate(over="ignore", invalid="ignore"):
-        q = s[:, None] * m * s[None, :]
-    if not np.all(np.isfinite(q)):
+        c, z, b = s_c[:, None] * c * s_c, s_c * z, np.sqrt(bath.omega_grid) * b
+        finite = (np.all(np.isfinite(c)) and np.all(np.isfinite(z * z))
+                  and np.isfinite(sigma * (b @ b)))
+    if not finite:
         raise NumericError(f"coupling_scale {lam:g} overflows the coupled quadratic form")
-    sq = np.linalg.eigvalsh(q)
+    sq = rank_one_coupling_spectrum(Operator(c), z, bath.omega_grid**2, b, sigma)[0].evals
     if sq[0] <= 0.0:
         raise ModelError(
             "coupled quadrature form is not positive definite "
@@ -255,42 +274,14 @@ def global_mode_frequencies(part: RegionPartition, n_modes: int) -> np.ndarray:
     return m * np.pi * part.wave_speed / part.oracle_total_length
 
 
-def _coupling_factors(bath: BathDiscretization) -> tuple:
-    """(a, b) with ``W = outer(a, b)`` up to rounding, from the closed-form
-    traces: ``a = (c^2/2)(u_k' - u_k)/sqrt(omega_k)`` and
-    ``b = (psi_p + psi_p') sqrt(delta_omega)/sqrt(omega_p)``, where under
-    either closure one term of each sum is exactly zero.  Under the PMC port
-    closure ``b`` is bit for bit the completion vector of ``_completion_term``."""
-    c = bath.part.wave_speed
-    u, du = bath.cavity.interface_traces()
-    psi, dpsi = port_interface_traces(bath.part, bath.omega_grid)
-    a = (c**2 / 2.0) * (du - u) / np.sqrt(bath.cavity.freqs)
-    b = (psi + dpsi) * np.sqrt(bath.delta_omega) / np.sqrt(bath.omega_grid)
-    return a, b
-
-
 def _one_excitation_spectrum(bath: BathDiscretization, coupling_scale: float,
                             boundary_completion: bool = True) -> tuple:
-    """Eigenvalues of the one-excitation Hamiltonian ``_coupled_matrix(bath,
-    lam, boundary_completion, 1.0)`` and the cavity rows of its eigenvectors,
-    without building it: the coupling ``lam W = (lam a) b^T`` has rank one and
-    the completion term lies along ``a`` (cavity block) or ``b`` (port
-    block), so ``qops.rank_one_coupling_spectrum`` solves it through a
+    """Eigenvalues of the one-excitation Hamiltonian (``_coupled_form`` at
+    factor 1) and the cavity rows of its eigenvectors, without building it:
+    ``qops.rank_one_coupling_spectrum`` solves the rank-one parts through a
     secular equation.  Returns ``(Spectrum, secular_iterations)``."""
-    lam = float(coupling_scale)
-    a, b = _coupling_factors(bath)
-    cavity_block = np.diag(bath.cavity.freqs)
-    sigma = 0.0
-    if boundary_completion:
-        block, coeff, v = _completion_term(bath)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if block.start == 0:
-                cavity_block += lam * lam * coeff * np.outer(v, v)
-            else:
-                sigma = lam * lam * coeff
-    with np.errstate(over="ignore"):
-        z = lam * a
-    return rank_one_coupling_spectrum(Operator(cavity_block), z, bath.omega_grid, b, sigma)
+    c, z, b, sigma = _coupled_form(bath, float(coupling_scale), boundary_completion, 1.0)
+    return rank_one_coupling_spectrum(Operator(c), z, bath.omega_grid, b, sigma)
 
 
 def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
@@ -301,8 +292,9 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
     The counter-rotating -W block is dropped (rotating-wave restriction,
     recorded in metadata), so evolution stays in the one-quantum sector of
     dimension n_cavity_modes + n_bins.  Its eigenvalues and the cavity rows
-    X of its eigenvectors come from ``_one_excitation_spectrum`` (a secular
-    equation, no dense solve beyond the cavity block), and the cavity
+    X of its eigenvectors come from ``_one_excitation_spectrum`` (the
+    rank-one parts of ``_coupled_form`` through a secular equation, no
+    dense solve beyond the cavity block), and the cavity
     amplitudes are ``X diag(exp(-i mu t)) X[k]^T``.  The ``norm`` series is
     ``sqrt(sum_n X[k, n]^2)``, constant in t; ``spectral_weight_deficit``
     is ``|1 - sum_n X[k, n]^2|`` and ``secular_iterations`` the most

@@ -2,8 +2,9 @@
 eigendecomposition goes through: :func:`spectrum` for dense hermitian
 operators, :func:`tridiagonal_spectrum` for the charge-basis transmon, and
 :func:`rank_one_coupling_spectrum` (on :func:`secular_roots`) for a small
-block coupled to a diagonal one through a rank-one term, the cavity-port
-bath, which returns the eigenvalues and the small block's rows only.
+block coupled to a diagonal one through a rank-one term (the cavity-port
+bath's Hamiltonian and quadrature form), which returns the eigenvalues and
+the small block's rows only.  No other module calls an eigensolver.
 
 Internally hbar = 1: Hamiltonians are expressed in angular-frequency units
 and time in the inverse units, so ``exp(-i H t)`` needs no extra constants.

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -280,6 +283,56 @@ def test_only_qops_binds_scipy_eigh():
                           for v in vars(importlib.import_module(f"fieldcqed.{info.name}")).values())]
         assert binders == ["qops"], solver.__name__
         assert not any(v is solver for v in vars(fieldcqed).values())
+
+
+EIGENSOLVER_NAMES = {"eig", "eigh", "eigvals", "eigvalsh", "eig_banded", "eigvals_banded",
+                     "eigh_tridiagonal", "eigvalsh_tridiagonal"}
+
+
+def _dotted(node):
+    """``a.b.c`` for a Name or an Attribute chain, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return node.attr if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def eigensolver_references(source: str) -> list:
+    """Every name, attribute chain or import in ``source`` that reaches a
+    NumPy/SciPy eigensolver or ``scipy.linalg.lapack``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [_dotted(node)] if isinstance(node, (ast.Name, ast.Attribute)) else []
+        found += [n for n in names if n is not None and (
+            EIGENSOLVER_NAMES & set(n.split(".")) or "scipy.linalg.lapack" in n)]
+    return found
+
+
+def test_only_qops_references_an_eigensolver():
+    """The package source names an eigensolver (or LAPACK) in qops.py only,
+    so every eigendecomposition goes through the qops kernels."""
+    import fieldcqed
+
+    sources = sorted(Path(fieldcqed.__file__).parent.glob("*.py"))
+    offenders = {p.name: refs for p in sources
+                 if p.name != "qops.py" and (refs := eigensolver_references(p.read_text()))}
+    assert offenders == {}
+    assert eigensolver_references((Path(fieldcqed.__file__).parent / "qops.py").read_text())
+
+
+def test_eigensolver_scan_sees_each_spelling():
+    for line in ("np.linalg.eigvalsh(q)", "from numpy.linalg import eig", "la.eigh(a)",
+                 "import scipy.linalg.lapack", "from scipy.linalg import lapack",
+                 "scipy.linalg.lapack.dsyev(a)"):
+        assert eigensolver_references(line), line
+    assert not eigensolver_references("evals, eigvecs = spec.evals, solve(p).eigvecs")
 
 
 def dense_coupled(c, z, d, b, sigma):
