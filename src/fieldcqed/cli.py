@@ -174,14 +174,13 @@ def run_couple(cfg: RunConfig, verbose: bool) -> RunResult:
     cs = _coupling_spec(cfg.coupling)
     m = min(cfg.transmon.get("n_levels", 3), ts.n_levels)
     n_modes = modes.freqs.size
-    cutoffs = tuple(cfg.coupling.get("fock_cutoffs", (4,) * n_modes))
-    built = coupled_mod.build_full_hamiltonian(ts, modes, cs, m, cutoffs)
-    rows = [(i, j, l + 1, built.g_table[i, j, l])
+    cutoffs = cfg.coupling.get("fock_cutoffs", (4,) * n_modes)
+    rows = [(i, j, l + 1, coupled_mod.coupling_strength(ts, modes, cs, i, j, l))
             for i in range(m) for j in range(i + 1, m) for l in range(n_modes)]
     scalars = {
-        "g_01_mode1": float(built.g_table[0, 1, 0]),
+        "g_01_mode1": coupled_mod.coupling_strength(ts, modes, cs, 0, 1, 0),
         "beta_eff": float(cs.beta_eff),
-        "hilbert_dim": int(built.dim),
+        "hilbert_dim": m * int(np.prod(cutoffs)),
     }
     return RunResult(scalars, {"coupling_strengths.csv": (["i", "j", "mode", "g"], rows)})
 

@@ -197,6 +197,9 @@ def ehrenfest_residual(p: TransmonParams, times, n_expect, sin_phi) -> float:
     if t.size < 3:
         raise ContractViolationError(
             f"the centered derivative needs at least 3 time points, got {t.size}")
+    for name, series in (("n_expect", n_expect), ("sin_phi", sin_phi)):
+        if np.shape(series) != t.shape:
+            raise DimensionMismatchError(f"{name} has shape {np.shape(series)}, times {t.shape}")
     dt = _uniform_dt(t)
     evals = level_sweep(p, [p.ng])[0]
     spread = float(evals[-1] - evals[0])

@@ -230,6 +230,8 @@ def charge_dispersion(p: TransmonParams, level: int = 0) -> float:
 
 def transition_dispersion(p: TransmonParams, i: int = 0, j: int = 1) -> float:
     """Peak-to-peak variation of the i -> j transition frequency over n_g."""
+    if not (0 <= i < p.dim and 0 <= j < p.dim):
+        raise IndexError(f"level indices ({i}, {j}) outside [0, {p.dim})")
     return _ng_spread(p, lambda w: w[j] - w[i])
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from fieldcqed import bath, cli
+from fieldcqed import bath, cli, coupled
 from fieldcqed import dynamics as dyn
 from fieldcqed import transmon as tq
 from fieldcqed import txline as tx
@@ -431,6 +431,27 @@ class TestOutputs:
         assert data.dtype.names == ("mode", "omega", "n_v", "n_i")
         assert data["omega"][0] == pytest.approx(2 * np.pi * 5e9, rel=1e-12)
         assert data["n_v"][0] == pytest.approx(9.1010e-7, rel=2e-4)
+
+    def test_couple_tabulates_past_max_dim(self, tmp_path):
+        # 3 levels x 40 x 40 photons: the table needs no product-space
+        # matrix, so couple runs past MAX_DIM (it used to exit 3)
+        payload = {"mode": "couple", "transmon": {"E_C": 0.3, "E_J": 15, "n_levels": 3},
+                   "line": {**MODES_LINE, "n_modes": 2},
+                   "coupling": {"beta": 0.2, "z0": 0.003, "fock_cutoffs": [40, 40]}}
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["couple", "--config", cfg, "--out", str(tmp_path)]) == 0
+        scalars = json.loads((tmp_path / "summary.json").read_text())["scalars"]
+        assert scalars["hilbert_dim"] == 4800 > coupled.MAX_DIM
+        ts = tq.solve(tq.TransmonParams(EC=0.3, EJ=15.0))
+        line = tx.LineParams(**MODES_LINE)
+        modes = tx.mode_operator_coeffs(tx.compute_modes(line, 2), tx.matched_cross_section(line))
+        cs = coupled.CouplingSpec(beta=0.2, z0=0.003)
+        data = np.genfromtxt(tmp_path / "coupling_strengths.csv", delimiter=",", names=True)
+        keys = [(int(i), int(j), int(mode)) for i, j, mode in zip(data["i"], data["j"], data["mode"])]
+        assert keys == [(0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 2, 1), (1, 2, 2)]
+        assert [coupled.coupling_strength(ts, modes, cs, i, j, mode - 1)
+                for i, j, mode in keys] == data["g"].tolist()
+        assert scalars["g_01_mode1"] == data["g"][0]
 
     def test_evolve_series(self, tmp_path):
         payload = {"mode": "evolve", "transmon": {"E_C": 0.3, "E_J": 15},

@@ -1,12 +1,18 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fieldcqed import coupled
 from fieldcqed.coupled import (
     TWO_E_OVER_HBAR,
     CoupledHamiltonian,
     CouplingSpec,
+    _assemble,
+    _g_table,
     build_full_hamiltonian,
     build_nn_hamiltonian,
     coupling_strength,
@@ -251,9 +257,41 @@ class TestFieldReduction:
         for conv in LongitudinalNorm:
             ts, line, xsec, modes = make_system(n_modes=3, conv=conv)
             cs = CouplingSpec(beta=0.4, z0=0.3 * line.length)
-            h_field, h_circuit, max_diff = field_reduction_check(
-                ts, modes, xsec, cs, 3, (2, 2, 2))
-            assert max_diff < 1e-9 * np.max(np.abs(h_circuit.mat))
+            h_field, _, max_diff = field_reduction_check(ts, modes, xsec, cs, 3, (2, 2, 2))
+            assert max_diff < 1e-9 * np.max(np.abs(h_field.mat))
+
+    def test_builds_one_operator(self, monkeypatch):
+        # the dense comparison also built the circuit Hamiltonian
+        made = []
+        real = coupled.Operator
+        monkeypatch.setattr(coupled, "Operator", lambda mat: made.append(mat.shape) or real(mat))
+        ts, line, xsec, modes = make_system(n_modes=2)
+        _, g_circuit, _ = field_reduction_check(
+            ts, modes, xsec, CouplingSpec(0.4, 0.3 * line.length), 3, (4, 3))
+        assert made == [(36, 36)]
+        assert g_circuit.shape == (3, 3, 2)
+
+    def test_peak_memory_at_dim_1024(self):
+        # one dim-1024 Hamiltonian and its coupling terms; the dense
+        # comparison peaked at 32 MB
+        ts, line, xsec, modes = make_system(n_modes=2)
+        cs = CouplingSpec(beta=0.2, z0=0.3 * line.length)
+        field_reduction_check(ts, modes, xsec, cs, 2, (2, 2))  # warm up outside the window
+        tracemalloc.start()
+        try:
+            field_reduction_check(ts, modes, xsec, cs, 4, (16, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 1024 * 1024
+
+    @pytest.mark.parametrize("sigma_frac", [0.0, np.inf, -1e-6, np.nan])
+    def test_sigma_frac_must_be_positive_and_finite(self, sigma_frac):
+        # 0 and inf used to return NaN without a word
+        ts, line, xsec, modes = make_system()
+        cs = CouplingSpec(beta=1.0, z0=0.3 * line.length)
+        with pytest.raises(ContractViolationError, match="sigma_frac"):
+            field_coupling_strength(ts, modes, xsec, cs, 0, 1, 0, sigma_frac=sigma_frac)
 
     def test_node_vanishes_on_both_sides(self):
         ts, line, xsec, modes = make_system()
@@ -285,6 +323,34 @@ class TestFieldReduction:
         r2 = errs[1] / errs[2]
         assert 3.2 < r1 < 4.8
         assert 3.2 < r2 < 4.8
+
+
+def reference_reduction(ts, modes, xsec, cs, m, cutoffs):
+    """The dense comparison field_reduction_check made before it read the
+    g-tables: both Hamiltonians assembled and subtracted elementwise.
+    Returns (H_field matrix, max_diff)."""
+    h_field, h_circuit = (
+        _assemble(ts, modes, m, cutoffs, _g_table(rate, m, modes.n_modes)).matrix.mat
+        for rate in (partial(field_coupling_strength, ts, modes, xsec, cs),
+                     partial(coupling_strength, ts, modes, cs)))
+    return h_field, float(np.max(np.abs(h_field - h_circuit)))
+
+
+@given(m=st.integers(2, 4), cutoffs=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+       z_frac=st.floats(0.0, 1.0), beta=st.floats(1e-3, 1.0),
+       path_gain=st.floats(-3.0, 3.0), include_beta=st.booleans(),
+       conv=st.sampled_from(LongitudinalNorm))
+def test_reduction_from_tables_is_the_dense_difference(m, cutoffs, z_frac, beta, path_gain,
+                                                       include_beta, conv):
+    """max_diff read from the g-tables is bit-equal to max|H_field - H_circuit|
+    of the two assembled Hamiltonians, and H_field is the same matrix."""
+    ts, line, xsec, modes = make_system(n_modes=len(cutoffs), conv=conv)
+    cs = CouplingSpec(beta, z_frac * line.length, include_beta, path_gain)
+    h_field, g_circuit, max_diff = field_reduction_check(ts, modes, xsec, cs, m, cutoffs)
+    ref_field, ref_diff = reference_reduction(ts, modes, xsec, cs, m, cutoffs)
+    assert np.array_equal(h_field.mat, ref_field)
+    assert max_diff == ref_diff
+    assert np.array_equal(g_circuit, build_full_hamiltonian(ts, modes, cs, m, cutoffs).g_table)
 
 
 @given(ng=st.floats(0.0, 1.0), ratio=st.floats(1.0, 100.0), z_frac=st.floats(0.0, 1.0))

@@ -23,7 +23,7 @@ from fieldcqed.dynamics import (
     evolve,
     first_return_period,
 )
-from fieldcqed.errors import ContractViolationError, StepSizeError
+from fieldcqed.errors import ContractViolationError, DimensionMismatchError, StepSizeError
 from fieldcqed.qops import Operator, StateVector, annihilation_op, spectrum
 from fieldcqed.transmon import TransmonParams, sin_phi_op, solve
 from fieldcqed.txline import (
@@ -359,6 +359,14 @@ class TestEhrenfest:
         p = TransmonParams(EC=1.0, EJ=100.0, n_cutoff=15)
         with pytest.raises(ContractViolationError, match="finite"):
             ehrenfest_residual(p, t, np.zeros(t.size), np.zeros(t.size))
+
+    @pytest.mark.parametrize("name", ["n_expect", "sin_phi"])
+    def test_residual_rejects_a_series_of_another_length(self, name):
+        # a 10-point series on an 11-point grid failed inside numpy broadcasting
+        p = TransmonParams(EC=1.0, EJ=100.0, n_cutoff=15)
+        series = {"n_expect": np.zeros(11), "sin_phi": np.zeros(11), name: np.zeros(10)}
+        with pytest.raises(DimensionMismatchError, match=name):
+            ehrenfest_residual(p, np.linspace(0.0, 1e-3, 11), **series)
 
     def test_needs_three_points(self):
         p = TransmonParams(EC=1.0, EJ=100.0, n_cutoff=15)

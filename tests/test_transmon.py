@@ -343,6 +343,14 @@ class TestDispersion:
         assert len(rows) in (41, 81, 161, 321)
         assert len(set(rows)) == len(rows)
 
+    @pytest.mark.parametrize("i, j", [(0, -1), (0, 99), (-1, 1), (11, 0)])
+    def test_transition_dispersion_rejects_levels_outside_the_basis(self, i, j):
+        # (0, -1) used to return the top level's dispersion, 12.54, and
+        # (0, 99) a bare IndexError from inside the sweep
+        p = TransmonParams(0.3, 15.0, n_cutoff=5)
+        with pytest.raises(IndexError, match=r"outside \[0, 11\)"):
+            transition_dispersion(p, i, j)
+
     @pytest.mark.parametrize("ratio", [0.0, 1.0, 5.0, 50.0])
     def test_refinement_matches_full_grid_solves(self, ratio):
         """The parent's refinement, which solved every point of every grid,
