@@ -151,6 +151,8 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
     ng = p.ng
     # the closing half-kick of one step is the opening half-kick of the next
     kick = ej * sin(f) * half
+    # stores through a memoryview skip ndarray item assignment's dispatch
+    phi_out, n_out = memoryview(phi), memoryview(n)
     for k in range(1, n_steps + 1):
         v -= kick
         f += ec8 * (v - ng) * dt
@@ -158,7 +160,8 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
         v -= kick
         if not -1e150 < f < 1e150:
             raise StepSizeError(f"trajectory diverged at step {k}; reduce dt")
-        phi[k], n[k] = f, v
+        phi_out[k] = f
+        n_out[k] = v
     energy[1:] = 4.0 * p.EC * (n[1:] - ng) ** 2 - ej * np.cos(phi[1:])
     e0 = energy[0]
     e_scale = abs(e0) if abs(e0) > 1e-12 * (p.EJ + 4 * p.EC) else (p.EJ + 4 * p.EC)

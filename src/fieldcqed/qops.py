@@ -26,24 +26,26 @@ from .errors import ContractViolationError, DimensionMismatchError, NumericError
 
 _HERM_TOL = 1e-12
 _NORM_TOL = 1e-12
+_HERM_TILE = 128
 
 
 def _is_hermitian(m: np.ndarray) -> bool:
     """max|m - m^H| <= 1e-12 * max(1, max|m|), the one hermiticity test.
 
-    |m - m^H| is hypot(Re m - Re m^T, Im m + Im m^T), as ``np.abs`` computes
-    it, formed from real temporaries only; the imaginary half is skipped
-    when it is absent or exactly zero.
+    For a finite square ``m``.  The scale is taken over row blocks of
+    ``_HERM_TILE`` rows, and each square tile on or above the diagonal is
+    compared with the conjugate transpose of its mirror tile, so no
+    temporary is larger than a row block; |m - m^H| is ``np.abs`` of the
+    difference.
     """
-    re = m.real
-    d = re - re.T
-    if np.iscomplexobj(m) and m.imag.any():
-        scale = float(np.abs(m).max())
-        np.hypot(d, m.imag + m.imag.T, out=d)
-    else:
-        scale = max(float(re.max()), -float(re.min()))
-        np.abs(d, out=d)
-    return float(d.max()) <= _HERM_TOL * max(1.0, scale)
+    t = _HERM_TILE
+    scale = worst = 0.0
+    for i in range(0, m.shape[0], t):
+        scale = max(scale, float(np.abs(m[i:i + t]).max()))
+        for j in range(i, m.shape[0], t):
+            d = m[i:i + t, j:j + t] - m[j:j + t, i:i + t].conj().T
+            worst = max(worst, float(np.abs(d).max()))
+    return worst <= _HERM_TOL * max(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -516,8 +518,14 @@ def expectation_series(mat: np.ndarray, states: np.ndarray) -> np.ndarray:
     One matrix product (a real one when ``mat`` is real) plus a column dot
     product on the real and imaginary parts, so no conjugate copy of
     ``states`` is made.  For a hermitian ``mat`` the dropped imaginary part
-    is rounding.
+    is rounding.  A real ``mat`` with no nonzero off its diagonal scales the
+    rows of ``states`` instead of the product: each entry of the product is
+    then one rounded product plus exact zeros, so both give the same bits.
     """
-    y = _matmul(mat, states)
+    d = np.diagonal(mat)
+    if not np.iscomplexobj(mat) and np.count_nonzero(mat) == np.count_nonzero(d):
+        y = d[:, None] * states
+    else:
+        y = _matmul(mat, states)
     s = np.ascontiguousarray(states)
     return np.einsum("it,it->t", s.view(float), y.view(float)).reshape(-1, 2).sum(axis=1)

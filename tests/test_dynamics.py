@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,31 @@ class TestClassicalTrajectory:
             reference_leapfrog(p, ClassicalState(phi=1.0, n=0.0), t)
         with pytest.raises(StepSizeError, match="diverged at step 1;"):
             classical_trajectory(p, ClassicalState(phi=1.0, n=0.0), t)
+
+    @staticmethod
+    def divergence_step(p, s0, t):
+        """The step at which both leapfrogs report divergence."""
+        with pytest.raises(StepSizeError, match="diverged at step") as ref:
+            reference_leapfrog(p, s0, t)
+        step = int(re.search(r"step (\d+);", str(ref.value)).group(1))
+        with pytest.raises(StepSizeError, match=f"diverged at step {step};"):
+            classical_trajectory(p, s0, t)
+        return step
+
+    def test_later_divergence_raises_like_the_reference(self):
+        p = TransmonParams(EC=1.0, EJ=1e149)
+        t = np.linspace(0.0, 100.0, 1001)
+        assert self.divergence_step(p, ClassicalState(phi=1.0, n=0.0), t) > 1
+
+    def test_finite_phase_at_the_bound_raises_like_the_reference(self):
+        # a free rotor whose phase steps by 1e149: finite, and 1e150 at step 10
+        f = 0.0
+        for _ in range(10):
+            f += 1e149
+        assert f == 1e150
+        p = TransmonParams(EC=0.125, EJ=0.0)
+        s0 = ClassicalState(phi=0.0, n=1e149)
+        assert self.divergence_step(p, s0, np.arange(20.0)) == 10
 
     def test_drift_raises_where_the_reference_drifts(self):
         p = TransmonParams(EC=1.0, EJ=100.0)

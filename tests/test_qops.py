@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh, expm
 
 from fieldcqed import (
@@ -100,6 +103,39 @@ class TestHermiticityCheck:
                 with pytest.raises(ContractViolationError):
                     Operator(bad)
 
+    @staticmethod
+    def defect_sites(n):
+        """(row, col) sites in the first diagonal tile, in an off-diagonal
+        tile (when there is one) and in the last, possibly partial, tile,
+        each also mirrored below the diagonal."""
+        t = qops._HERM_TILE
+        last = t * ((n - 1) // t)
+        sites = {(min(2, n - 1), min(7, n - 1)), (n - 1, max(last, n - 2))}
+        if n > t:
+            sites.add((5, min(t + 2, n - 1)))
+        return sorted(sites | {(c, r) for r, c in sites})
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("unit", [1.0, 1j])
+    def test_tiles_match_allclose(self, n, complex_entries, unit):
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(n, n))
+        if complex_entries:
+            m = m + 1j * rng.normal(size=(n, n))
+        m = (m + m.conj().T) / 2
+        if n > qops._HERM_TILE:  # the largest entry lies off the diagonal tiles
+            m[1, n - 1] = m[n - 1, 1] = 1e3
+        scale = max(1.0, float(np.abs(m).max()))
+        assert _is_hermitian(m)
+        for r, c in self.defect_sites(n):
+            for defect, accepted in ((0.5e-12, True), (2e-12, False)):
+                bad = m.astype(np.result_type(m, unit))
+                bad[r, c] += unit * defect * scale
+                assert _is_hermitian(bad) == self.old_test(bad), (r, c, defect)
+                if r != c:
+                    assert _is_hermitian(bad) is accepted, (r, c, defect)
+
 
 class TestStateVector:
     def test_norm_enforced(self):
@@ -182,6 +218,49 @@ class TestExpectation:
         n = np.diag(np.arange(6.0))
         psi = StateVector.basis_state(6, 4)
         assert expectation_series(n, psi.amps[:, None])[0] == pytest.approx(4.0, abs=1e-15)
+
+
+def _product_series(mat, states):
+    """expectation_series through the matrix product, for any ``mat``."""
+    y = qops._matmul(mat, states)
+    s = np.ascontiguousarray(states)
+    return np.einsum("it,it->t", s.view(float), y.view(float)).reshape(-1, 2).sum(axis=1)
+
+
+_entries = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _diagonal_and_states(draw):
+    dim = draw(st.integers(1, 12))
+    diag = draw(arrays(float, dim, elements=_entries))
+    n_t = draw(st.integers(1, 5))
+    parts = [draw(arrays(float, (dim, n_t), elements=_entries)) for _ in range(2)]
+    return diag, parts[0] + 1j * parts[1]
+
+
+class TestDiagonalExpectation:
+    """The elementwise path of expectation_series against the product."""
+
+    @given(case=_diagonal_and_states())
+    def test_matches_the_product_bit_for_bit(self, case):
+        diag, states = case
+        mat = np.diag(diag)
+        got = expectation_series(mat, states)
+        want = _product_series(mat, states)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("off_diagonal, products", [(0.0, 0), (0.25, 1)])
+    def test_one_off_diagonal_nonzero_takes_the_product(self, monkeypatch, off_diagonal, products):
+        mat = np.diag([-2.0, 0.0, 3.0])
+        mat[0, 2] = off_diagonal
+        states = random_state(3, 5).amps[:, None]
+        want = _product_series(mat, states)
+        product, calls = qops._matmul, []
+        monkeypatch.setattr(qops, "_matmul", lambda a, x: calls.append(1) or product(a, x))
+        assert np.array_equal(expectation_series(mat, states), want)
+        assert len(calls) == products
 
 
 class TestStorageDtype:
