@@ -20,8 +20,10 @@ from .coupled import (
     build_full_hamiltonian,
     build_nn_hamiltonian,
     coupling_strength,
-    field_coupling_strength,
+    coupling_table,
+    field_mode_rates,
     field_reduction_check,
+    mode_rates,
     total_excitation_op,
 )
 from .dynamics import (

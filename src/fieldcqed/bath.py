@@ -50,8 +50,10 @@ class RegionPartition:
     oracle_total_length: float = None
 
     def __post_init__(self):
-        if self.cavity_length <= 0 or self.wave_speed <= 0:
-            raise ContractViolationError("cavity_length and wave_speed must be positive")
+        for name in ("cavity_length", "wave_speed"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ContractViolationError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.oracle_total_length is None:
             object.__setattr__(self, "oracle_total_length", 10.0 * self.cavity_length)
         if self.oracle_total_length <= self.cavity_length:
@@ -64,7 +66,8 @@ class RegionPartition:
 
 @dataclass(frozen=True)
 class CavityModes:
-    """Orthonormal standing waves of the closed cavity problem."""
+    """Closed-cavity standing waves sqrt(2/l) sin(omega_k z / c): their
+    frequencies and their closed-form traces at the interface."""
 
     part: RegionPartition
     freqs: np.ndarray
@@ -72,10 +75,6 @@ class CavityModes:
     @property
     def n_modes(self) -> int:
         return self.freqs.size
-
-    def u(self, k: int, z):
-        l = self.part.cavity_length
-        return np.sqrt(2.0 / l) * np.sin(self.freqs[k] * np.asarray(z, dtype=float) / self.part.wave_speed)
 
     def interface_traces(self) -> tuple:
         """(u_k(l), du_k/dz at l) for every mode, in closed form: the value

@@ -175,10 +175,11 @@ def run_couple(cfg: RunConfig, verbose: bool) -> RunResult:
     m = min(cfg.transmon.get("n_levels", 3), ts.n_levels)
     n_modes = modes.freqs.size
     cutoffs = cfg.coupling.get("fock_cutoffs", (4,) * n_modes)
-    rows = [(i, j, l + 1, coupled_mod.coupling_strength(ts, modes, cs, i, j, l))
+    g = coupled_mod.coupling_table(ts, coupled_mod.mode_rates(modes, cs), m)
+    rows = [(i, j, l + 1, g[i, j, l])
             for i in range(m) for j in range(i + 1, m) for l in range(n_modes)]
     scalars = {
-        "g_01_mode1": coupled_mod.coupling_strength(ts, modes, cs, 0, 1, 0),
+        "g_01_mode1": float(g[0, 1, 0]),
         "beta_eff": float(cs.beta_eff),
         "hilbert_dim": m * int(np.prod(cutoffs)),
     }

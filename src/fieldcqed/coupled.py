@@ -1,9 +1,9 @@
 """Transmon-resonator Hamiltonians in the truncated product basis.
 
-The charge coupling can be assembled two ways: from the circuit-form rate
-g = (2e/hbar) beta N_V u(z0) <i|n|j>, or by spatially integrating the mode
-field against a localized coupling current.  Both are provided so their
-agreement can be checked numerically.
+The charge coupling factorises as g_{ij,l} = r_l <i|n|j>.  The per-mode rate
+r_l comes from the circuit form (2e/hbar) beta N_V u(z0), or from spatially
+integrating the mode field against a localized coupling current; both are
+provided so their agreement can be checked numerically.
 
 The builders are unit-agnostic: transmon levels and mode frequencies are
 added into one matrix, so the caller must supply both in the same angular
@@ -14,7 +14,6 @@ is built from SI constants and the SI voltage amplitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.constants import e as elementary_charge
@@ -49,8 +48,10 @@ class CouplingSpec:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ContractViolationError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.z0 < 0.0:
-            raise ContractViolationError(f"z0 must be non-negative, got {self.z0}")
+        if not 0.0 <= self.z0 < np.inf:
+            raise ContractViolationError(f"z0 must be non-negative and finite, got {self.z0}")
+        if not np.isfinite(self.path_gain):
+            raise ContractViolationError(f"path_gain must be finite, got {self.path_gain}")
 
     @property
     def beta_eff(self) -> float:
@@ -91,30 +92,37 @@ def _check_position(modes: ModeSet, z0: float):
             f"z0={z0} outside the line [0, {modes.line.length}]")
 
 
-def coupling_strength(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
-                      i: int, j: int, l: int) -> float:
-    """Charge coupling rate g_{ij,l} in rad/s.
+@np.errstate(over="ignore", invalid="ignore")
+def _rates(cs: CouplingSpec, *factors) -> np.ndarray:
+    """(2e/hbar) * beta_eff * factors, multiplied left to right; NumericError on overflow."""
+    rates = TWO_E_OVER_HBAR * cs.beta_eff
+    for f in factors:
+        rates = rates * f
+    if not np.all(np.isfinite(rates)):
+        raise NumericError(f"coupling rate is not finite: mode rates {rates.tolist()}")
+    return rates
 
-    (2e/hbar) * beta_eff * N_V,l * u_l(z0) * path_gain * <i|n|j>; vanishes
-    exactly when z0 sits on a voltage node of mode l.
-    """
+
+def mode_rates(modes: ModeSet, cs: CouplingSpec) -> np.ndarray:
+    """Per-mode circuit rate (2e/hbar) beta_eff N_V,l u_l(z0) path_gain in rad/s."""
     if modes.n_v is None:
         raise ContractViolationError("mode operator coefficients not filled; call mode_operator_coeffs")
     _check_position(modes, cs.z0)
-    me = charge_matrix_element(ts, i, j)
-    u0 = modes.u(l, cs.z0)
-    return float(TWO_E_OVER_HBAR * cs.beta_eff * modes.n_v[l] * u0 * cs.path_gain * me)
+    u0 = np.array([modes.u(l, cs.z0) for l in range(modes.n_modes)])
+    return _rates(cs, modes.n_v, u0, cs.path_gain)
 
 
-def _g_table(rate, m: int, n_modes: int) -> np.ndarray:
-    """Symmetric (m, m, n_modes) table of ``rate(i, j, l)``, evaluated once
-    per unordered transmon pair (i, j >= i)."""
-    table = np.zeros((m, m, n_modes))
-    for l in range(n_modes):
-        for i in range(m):
-            for j in range(i, m):
-                table[i, j, l] = table[j, i, l] = rate(i, j, l)
-    return table
+def coupling_table(ts: TransmonSolution, rates: np.ndarray, m: int) -> np.ndarray:
+    """(m, m, n_modes) table g_{ij,l} = <i|n|j> * rates[l]."""
+    me = np.array([[charge_matrix_element(ts, i, j) for j in range(m)] for i in range(m)])
+    return me.reshape(m, m, 1) * rates
+
+
+def coupling_strength(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
+                      i: int, j: int, l: int) -> float:
+    """Charge coupling rate g_{ij,l} in rad/s: one entry of the coupling table."""
+    modes._check_idx(l)
+    return float(mode_rates(modes, cs)[l] * charge_matrix_element(ts, i, j))
 
 
 def _product_diagonal(head, cutoffs, weights) -> np.ndarray:
@@ -162,14 +170,14 @@ def _assemble(ts: TransmonSolution, modes: ModeSet, m: int, fock_cutoffs,
 def build_full_hamiltonian(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
                            m: int, fock_cutoffs) -> CoupledHamiltonian:
     """All charge matrix elements retained (no nearest-neighbor truncation)."""
-    table = _g_table(partial(coupling_strength, ts, modes, cs), m, modes.n_modes)
+    table = coupling_table(ts, mode_rates(modes, cs), m)
     return _assemble(ts, modes, m, fock_cutoffs, table)
 
 
 def build_nn_hamiltonian(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
                          m: int, fock_cutoffs) -> CoupledHamiltonian:
     """Coupling restricted to |i - j| = 1 transmon transitions."""
-    table = _g_table(partial(coupling_strength, ts, modes, cs), m, modes.n_modes)
+    table = coupling_table(ts, mode_rates(modes, cs), m)
     levels = np.arange(m)
     table[np.abs(levels[:, None] - levels) != 1] = 0.0
     return _assemble(ts, modes, m, fock_cutoffs, table)
@@ -198,10 +206,9 @@ def _smeared_mode_value(modes: ModeSet, l: int, z0: float, sigma: float, n_point
     return float(np.trapezoid(u * w, z) / np.trapezoid(w, z))
 
 
-def field_coupling_strength(ts: TransmonSolution, modes: ModeSet, xsec: TEMCrossSection,
-                            cs: CouplingSpec, i: int, j: int, l: int,
-                            sigma_frac: float = 1e-6) -> float:
-    """Coupling rate recovered from the field integral instead of N_V.
+def field_mode_rates(modes: ModeSet, xsec: TEMCrossSection, cs: CouplingSpec,
+                     sigma_frac: float = 1e-6) -> np.ndarray:
+    """Per-mode coupling rate recovered from the field integral instead of N_V.
 
     The voltage amplitude is rebuilt from quadrature-evaluated mode-shape
     normalizations, the z-localization of the coupling current is a Gaussian
@@ -212,23 +219,21 @@ def field_coupling_strength(ts: TransmonSolution, modes: ModeSet, xsec: TEMCross
     if not 0.0 < sigma_frac < np.inf:
         raise ContractViolationError(f"sigma_frac must be positive and finite, got {sigma_frac}")
     length = modes.line.length
-    z = np.linspace(0.0, length, 64 * modes.n_modes + 1)
-    n_el_quad = np.trapezoid(np.asarray(modes.u(l, z)) ** 2, z)
-    if modes.convention is LongitudinalNorm.INTEGRAL and \
-            abs(n_el_quad - modes.n_el[l]) > 1e-10 * modes.n_el[l]:
-        raise NumericError("longitudinal quadrature disagrees with the stored normalization")
     x = np.linspace(0.0, xsec.d, 65)
     n_et_quad = xsec.w * np.trapezoid(np.full_like(x, xsec.eps_r / xsec.d**2), x)
-    # longitudinal normalization follows the mode set's convention; under
-    # INTEGRAL it equals the literal quadrature checked above
-    n_e = np.sqrt(hbar * modes.freqs[l] / (2.0 * epsilon_0 * n_et_quad * modes.n_el[l]))
-
-    u_eff = _smeared_mode_value(modes, l, cs.z0, sigma_frac * length)
     path = np.linspace(0.0, cs.path_gain * xsec.d, 65)
     path_int = np.trapezoid(np.full_like(path, 1.0 / xsec.d), path)
-
-    me = charge_matrix_element(ts, i, j)
-    return float(TWO_E_OVER_HBAR * cs.beta_eff * n_e * u_eff * path_int * me)
+    # N_EL follows the mode set's convention; under INTEGRAL it is checked below
+    n_e = np.sqrt(hbar * modes.freqs / (2.0 * epsilon_0 * n_et_quad * modes.n_el))
+    z = np.linspace(0.0, length, 64 * modes.n_modes + 1)
+    u_eff = np.empty(modes.n_modes)
+    for l in range(modes.n_modes):
+        n_el_quad = np.trapezoid(np.asarray(modes.u(l, z)) ** 2, z)
+        if modes.convention is LongitudinalNorm.INTEGRAL and \
+                abs(n_el_quad - modes.n_el[l]) > 1e-10 * modes.n_el[l]:
+            raise NumericError("longitudinal quadrature disagrees with the stored normalization")
+        u_eff[l] = _smeared_mode_value(modes, l, cs.z0, sigma_frac * length)
+    return _rates(cs, n_e, u_eff, path_int)
 
 
 def field_reduction_check(ts: TransmonSolution, modes: ModeSet, xsec: TEMCrossSection,
@@ -240,8 +245,8 @@ def field_reduction_check(ts: TransmonSolution, modes: ModeSet, xsec: TEMCrossSe
     disjoint entries and each coupling entry is fl(g_ijl sqrt(n)).  Agreement
     to ~1e-9 relative shows the spatial integral collapses to the circuit rate.
     """
-    g_circuit = _g_table(partial(coupling_strength, ts, modes, cs), m, modes.n_modes)
-    table = _g_table(partial(field_coupling_strength, ts, modes, xsec, cs), m, modes.n_modes)
+    g_circuit = coupling_table(ts, mode_rates(modes, cs), m)
+    table = coupling_table(ts, field_mode_rates(modes, xsec, cs), m)
     fielded = _assemble(ts, modes, m, fock_cutoffs, table)
     max_diff = np.max([np.max(np.abs(table[:, :, l, None] * s - g_circuit[:, :, l, None] * s))
                        for l, s in enumerate(np.sqrt(np.arange(1.0, c)) for c in fielded.basis[1])])

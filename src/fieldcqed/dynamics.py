@@ -156,10 +156,11 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
     for k in range(1, n_steps + 1):
         v -= kick
         f += ec8 * (v - ng) * dt
-        kick = ej * sin(f) * half
-        v -= kick
+        # checked before sin(f), which raises on an infinite phase
         if not -1e150 < f < 1e150:
             raise StepSizeError(f"trajectory diverged at step {k}; reduce dt")
+        kick = ej * sin(f) * half
+        v -= kick
         phi_out[k] = f
         n_out[k] = v
     energy[1:] = 4.0 * p.EC * (n[1:] - ng) ** 2 - ej * np.cos(phi[1:])

@@ -37,10 +37,12 @@ class TransmonParams:
     sign: TunnelingSign = TunnelingSign.PLUS
 
     def __post_init__(self):
-        if not self.EC > 0:
-            raise ContractViolationError(f"EC must be positive, got {self.EC}")
-        if self.EJ < 0:
-            raise ContractViolationError(f"EJ must be non-negative, got {self.EJ}")
+        if not 0 < self.EC < np.inf:
+            raise ContractViolationError(f"EC must be positive and finite, got {self.EC}")
+        if not 0 <= self.EJ < np.inf:
+            raise ContractViolationError(f"EJ must be non-negative and finite, got {self.EJ}")
+        if not np.isfinite(self.ng):
+            raise ContractViolationError(f"ng must be finite, got {self.ng}")
         if self.n_cutoff < 1:
             raise ContractViolationError(f"n_cutoff must be at least 1, got {self.n_cutoff}")
 

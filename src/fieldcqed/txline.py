@@ -69,8 +69,9 @@ class LineParams:
 
     def __post_init__(self):
         for name in ("L_pul", "C_pul", "length"):
-            if not getattr(self, name) > 0:
-                raise ContractViolationError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ContractViolationError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
 
     @property
     def v_p(self) -> float:
@@ -93,10 +94,9 @@ class TEMCrossSection:
 
 
 def tem_cross_section(w: float, d: float, eps_r: float = 1.0) -> TEMCrossSection:
-    if w <= 0 or d <= 0:
-        raise ContractViolationError("cross-section dimensions must be positive")
-    if eps_r <= 0:
-        raise ContractViolationError("eps_r must be positive")
+    for name, value in (("w", w), ("d", d), ("eps_r", eps_r)):
+        if not 0 < value < np.inf:
+            raise ContractViolationError(f"{name} must be positive and finite, got {value}")
     n_et = eps_r * w / d
     n_ht = d / w
     return TEMCrossSection(

@@ -326,6 +326,21 @@ class TestMainExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
 
+    def test_overflowing_coupling_rate_returns_three(self, tmp_path, capsys):
+        # used to exit 0 with -inf in the table and -Infinity in summary.json
+        payload = {"mode": "couple", "transmon": {"E_C": 0.3, "E_J": 15, "n_levels": 3},
+                   "line": {**MODES_LINE, "n_modes": 2},
+                   "coupling": {"beta": 0.2, "z0": 0.003, "path_gain": 1e308}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["couple", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "coupling rate is not finite" in err
+        assert not out.exists()
+
     def test_failure_after_the_sweep_leaves_no_output(self, tmp_path, capsys):
         # the level table is computed before the anharmonicity fails (a free
         # rotor at n_cutoff 1 has only two distinct levels); none of it is written
@@ -452,6 +467,23 @@ class TestOutputs:
         assert [coupled.coupling_strength(ts, modes, cs, i, j, mode - 1)
                 for i, j, mode in keys] == data["g"].tolist()
         assert scalars["g_01_mode1"] == data["g"][0]
+
+    def test_couple_builds_one_table(self, tmp_path, monkeypatch):
+        # one rate vector and at most one charge element per ordered level pair
+        calls = {"mode_rates": 0, "charge_matrix_element": 0}
+        for name in calls:
+            real = getattr(coupled, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(coupled, name, counted)
+        payload = {"mode": "couple", "transmon": {"E_C": 0.3, "E_J": 15, "n_levels": 4},
+                   "line": {**MODES_LINE, "n_modes": 3}, "coupling": {"beta": 0.2, "z0": 0.003}}
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["couple", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert calls["mode_rates"] == 1
+        assert calls["charge_matrix_element"] <= 4 * 4
 
     def test_evolve_series(self, tmp_path):
         payload = {"mode": "evolve", "transmon": {"E_C": 0.3, "E_J": 15},

@@ -1,10 +1,11 @@
 import tracemalloc
-from functools import partial
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.constants import epsilon_0, hbar
 
 from fieldcqed import coupled
 from fieldcqed.coupled import (
@@ -12,17 +13,19 @@ from fieldcqed.coupled import (
     CoupledHamiltonian,
     CouplingSpec,
     _assemble,
-    _g_table,
     build_full_hamiltonian,
     build_nn_hamiltonian,
     coupling_strength,
-    field_coupling_strength,
+    coupling_table,
+    field_mode_rates,
     field_reduction_check,
+    mode_rates,
     total_excitation_op,
 )
-from fieldcqed.errors import CapacityError, ContractViolationError
+from fieldcqed.errors import CapacityError, ContractViolationError, NumericError
 from fieldcqed.transmon import TransmonParams, TunnelingSign, charge_matrix_element, solve
 from fieldcqed.txline import (
+    BoundaryCondition,
     LineParams,
     LongitudinalNorm,
     compute_modes,
@@ -43,6 +46,12 @@ def make_system(n_modes=1, f1_ghz=5.0, conv=LongitudinalNorm.FULL_LENGTH,
     xsec = matched_cross_section(line)
     modes = mode_operator_coeffs(compute_modes(line, n_modes, conv), xsec)
     return ts, line, xsec, modes
+
+
+def field_g(ts, modes, xsec, cs, i, j, l, sigma_frac=1e-6):
+    """One entry g_{ij,l} of the field route's coupling table."""
+    rates = field_mode_rates(modes, xsec, cs, sigma_frac=sigma_frac)
+    return float(coupling_table(ts, rates, max(i, j) + 1)[i, j, l])
 
 
 def _embed(factors):
@@ -291,22 +300,22 @@ class TestFieldReduction:
         ts, line, xsec, modes = make_system()
         cs = CouplingSpec(beta=1.0, z0=0.3 * line.length)
         with pytest.raises(ContractViolationError, match="sigma_frac"):
-            field_coupling_strength(ts, modes, xsec, cs, 0, 1, 0, sigma_frac=sigma_frac)
+            field_mode_rates(modes, xsec, cs, sigma_frac=sigma_frac)
 
     def test_node_vanishes_on_both_sides(self):
         ts, line, xsec, modes = make_system()
         cs = CouplingSpec(beta=1.0, z0=line.length / 2)
         assert coupling_strength(ts, modes, cs, 0, 1, 0) == 0.0
         scale = abs(coupling_strength(ts, modes, CouplingSpec(1.0, 0.0), 0, 1, 0))
-        assert abs(field_coupling_strength(ts, modes, xsec, cs, 0, 1, 0)) < 1e-12 * scale
+        assert abs(field_g(ts, modes, xsec, cs, 0, 1, 0)) < 1e-12 * scale
 
     def test_path_gain_scales_both_routes(self):
         ts, line, xsec, modes = make_system()
         z0 = 0.2 * line.length
         g1c = coupling_strength(ts, modes, CouplingSpec(1.0, z0), 0, 1, 0)
         g2c = coupling_strength(ts, modes, CouplingSpec(1.0, z0, path_gain=2.0), 0, 1, 0)
-        g1f = field_coupling_strength(ts, modes, xsec, CouplingSpec(1.0, z0), 0, 1, 0)
-        g2f = field_coupling_strength(ts, modes, xsec, CouplingSpec(1.0, z0, path_gain=2.0), 0, 1, 0)
+        g1f = field_g(ts, modes, xsec, CouplingSpec(1.0, z0), 0, 1, 0)
+        g2f = field_g(ts, modes, xsec, CouplingSpec(1.0, z0, path_gain=2.0), 0, 1, 0)
         assert g2c == pytest.approx(2 * g1c, rel=1e-12)
         assert g2f == pytest.approx(2 * g1f, rel=1e-12)
 
@@ -317,7 +326,7 @@ class TestFieldReduction:
         exact = coupling_strength(ts, modes, cs, 0, 1, 2)
         errs = []
         for sigma_frac in (1e-3, 5e-4, 2.5e-4):
-            approx = field_coupling_strength(ts, modes, xsec, cs, 0, 1, 2, sigma_frac=sigma_frac)
+            approx = field_g(ts, modes, xsec, cs, 0, 1, 2, sigma_frac=sigma_frac)
             errs.append(abs(approx - exact))
         r1 = errs[0] / errs[1]
         r2 = errs[1] / errs[2]
@@ -330,9 +339,8 @@ def reference_reduction(ts, modes, xsec, cs, m, cutoffs):
     g-tables: both Hamiltonians assembled and subtracted elementwise.
     Returns (H_field matrix, max_diff)."""
     h_field, h_circuit = (
-        _assemble(ts, modes, m, cutoffs, _g_table(rate, m, modes.n_modes)).matrix.mat
-        for rate in (partial(field_coupling_strength, ts, modes, xsec, cs),
-                     partial(coupling_strength, ts, modes, cs)))
+        _assemble(ts, modes, m, cutoffs, coupling_table(ts, rates, m)).matrix.mat
+        for rates in (field_mode_rates(modes, xsec, cs), mode_rates(modes, cs)))
     return h_field, float(np.max(np.abs(h_field - h_circuit)))
 
 
@@ -384,3 +392,131 @@ def test_coupling_sign_is_a_unitary_symmetry(gain, ng, z_frac):
     assert np.array_equal(built[1].g_table, -built[0].g_table)
     e_pos, e_neg = (np.linalg.eigvalsh(b.matrix.mat) for b in built)
     assert np.max(np.abs(e_pos - e_neg)) <= 1e-12 * np.max(np.abs(e_pos))
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# z0/length where some low mode of some boundary condition has a voltage node
+NODE_FRACTIONS = [0.0, 0.25, 0.5, 0.75, 1.0, 1.0 / 3.0, 1.0 / 6.0, 0.1, 0.3]
+
+
+def reference_circuit_g(ts, modes, cs, i, j, l):
+    """g_{ij,l} as the per-entry circuit route computed it, in one product."""
+    u0 = modes.u(l, cs.z0)
+    me = charge_matrix_element(ts, i, j)
+    return float(TWO_E_OVER_HBAR * cs.beta_eff * modes.n_v[l] * u0 * cs.path_gain * me)
+
+
+@given(bc=st.sampled_from(BoundaryCondition), conv=st.sampled_from(LongitudinalNorm),
+       n_modes=st.integers(1, 4), m=st.integers(2, 5),
+       z_frac=st.one_of(st.sampled_from(NODE_FRACTIONS), st.floats(0.0, 1.0)),
+       beta=st.floats(1e-3, 1.0), include_beta=st.booleans(),
+       path_gain=st.floats(-1e3, 1e3), ng=st.floats(0.0, 1.0))
+def test_table_entries_are_the_single_rates(bc, conv, n_modes, m, z_frac, beta,
+                                            include_beta, path_gain, ng):
+    """Every entry of coupling_table(ts, mode_rates(...), m) is bit-equal to
+    coupling_strength and to the per-entry product at the same (i, j, l),
+    voltage nodes included."""
+    ts = solve(TransmonParams(EC=0.3 * GHZ, EJ=15.0 * GHZ, ng=ng))
+    line = LineParams(L_pul=4.0e-7, C_pul=1.6e-10, length=0.0125, bc=bc)
+    modes = mode_operator_coeffs(compute_modes(line, n_modes, conv), matched_cross_section(line))
+    cs = CouplingSpec(beta, z_frac * line.length, include_beta, path_gain)
+    table = coupling_table(ts, mode_rates(modes, cs), m)
+    assert table.shape == (m, m, n_modes)
+    for i, j, l in np.ndindex(table.shape):
+        assert bits(table[i, j, l]) == bits(coupling_strength(ts, modes, cs, i, j, l))
+        assert bits(table[i, j, l]) == bits(reference_circuit_g(ts, modes, cs, i, j, l))
+
+
+def reference_field_rate(modes, xsec, cs, l, sigma_frac=1e-6):
+    """The field-integral rate of mode l as the per-entry route computed it
+    for every (i, j, l), before its final factor <i|n|j>: the reference for
+    field_mode_rates."""
+    length = modes.line.length
+    z = np.linspace(0.0, length, 64 * modes.n_modes + 1)
+    n_el_quad = np.trapezoid(np.asarray(modes.u(l, z)) ** 2, z)
+    if modes.convention is LongitudinalNorm.INTEGRAL and \
+            abs(n_el_quad - modes.n_el[l]) > 1e-10 * modes.n_el[l]:
+        raise NumericError("longitudinal quadrature disagrees with the stored normalization")
+    x = np.linspace(0.0, xsec.d, 65)
+    n_et_quad = xsec.w * np.trapezoid(np.full_like(x, xsec.eps_r / xsec.d**2), x)
+    n_e = np.sqrt(hbar * modes.freqs[l] / (2.0 * epsilon_0 * n_et_quad * modes.n_el[l]))
+    u_eff = coupled._smeared_mode_value(modes, l, cs.z0, sigma_frac * length)
+    path = np.linspace(0.0, cs.path_gain * xsec.d, 65)
+    path_int = np.trapezoid(np.full_like(path, 1.0 / xsec.d), path)
+    return TWO_E_OVER_HBAR * cs.beta_eff * n_e * u_eff * path_int
+
+
+@given(bc=st.sampled_from(BoundaryCondition), conv=st.sampled_from(LongitudinalNorm),
+       n_modes=st.integers(1, 3), z_frac=st.one_of(st.sampled_from(NODE_FRACTIONS),
+                                                   st.floats(0.0, 1.0)),
+       include_beta=st.booleans(), path_gain=st.floats(-3.0, 3.0),
+       sigma_frac=st.sampled_from([1e-6, 1e-4, 1e-2]))
+def test_field_rates_match_the_per_entry_formula(bc, conv, n_modes, z_frac, include_beta,
+                                                 path_gain, sigma_frac):
+    """field_mode_rates is the per-entry field formula with <i|n|j> divided
+    out, bit for bit, and its table entries are that formula's values."""
+    ts = solve(TransmonParams(EC=0.3 * GHZ, EJ=15.0 * GHZ))
+    line = LineParams(L_pul=4.0e-7, C_pul=1.6e-10, length=0.0125, bc=bc)
+    xsec = matched_cross_section(line)
+    modes = mode_operator_coeffs(compute_modes(line, n_modes, conv), xsec)
+    cs = CouplingSpec(0.4, z_frac * line.length, include_beta, path_gain)
+    rates = field_mode_rates(modes, xsec, cs, sigma_frac)
+    table = coupling_table(ts, rates, 3)
+    for l in range(n_modes):
+        ref = reference_field_rate(modes, xsec, cs, l, sigma_frac)
+        assert bits(rates[l]) == bits(ref)
+        for i, j in np.ndindex(3, 3):
+            assert bits(table[i, j, l]) == bits(float(ref * charge_matrix_element(ts, i, j)))
+
+
+class TestRateFactorisation:
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(coupled, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(coupled, name, counted)
+        return calls
+
+    def test_field_quadratures_run_once_per_mode(self, monkeypatch):
+        # the per-entry route ran them for every transmon pair: 18 times here
+        calls = self.count_calls(monkeypatch, "_smeared_mode_value", "charge_matrix_element")
+        ts, line, xsec, modes = make_system(n_modes=3)
+        cs = CouplingSpec(0.4, 0.3 * line.length)
+        field_reduction_check(ts, modes, xsec, cs, 3, (2, 2, 2))
+        assert calls["_smeared_mode_value"] == 3
+        assert calls["charge_matrix_element"] <= 2 * 3 * 3
+
+    @pytest.mark.parametrize("builder", [build_full_hamiltonian, build_nn_hamiltonian])
+    def test_builders_read_one_element_per_pair(self, monkeypatch, builder):
+        calls = self.count_calls(monkeypatch, "mode_rates", "charge_matrix_element")
+        ts, line, _, modes = make_system(n_modes=2)
+        builder(ts, modes, CouplingSpec(0.4, 0.3 * line.length), 4, (3, 3))
+        assert calls["mode_rates"] == 1
+        assert calls["charge_matrix_element"] <= 4 * 4
+
+    @pytest.mark.parametrize("l", [-1, 1])
+    def test_single_rate_checks_the_mode_index(self, l):
+        ts, _, _, modes = make_system(n_modes=1)
+        with pytest.raises(IndexError):
+            coupling_strength(ts, modes, CouplingSpec(1.0, 0.0), 0, 1, l)
+
+    def test_overflowing_rate_is_a_numeric_error(self):
+        # path_gain 1e308 used to give -inf couplings with a RuntimeWarning
+        ts, line, xsec, modes = make_system(n_modes=2)
+        cs = CouplingSpec(0.2, 0.2 * line.length, path_gain=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: mode_rates(modes, cs),
+                         lambda: field_mode_rates(modes, xsec, cs),
+                         lambda: coupling_strength(ts, modes, cs, 0, 1, 0),
+                         lambda: build_full_hamiltonian(ts, modes, cs, 3, (2, 2))):
+                with pytest.raises(NumericError, match="coupling rate is not finite"):
+                    call()

@@ -267,6 +267,13 @@ class TestClassicalTrajectory:
         s0 = ClassicalState(phi=0.0, n=1e149)
         assert self.divergence_step(p, s0, np.arange(20.0)) == 10
 
+    def test_infinite_phase_is_a_step_size_error(self):
+        # v stays finite (-4e298) but 8 E_C v dt overflows the phase to -inf,
+        # on which math.sin used to raise ValueError
+        p = TransmonParams(EC=1e10, EJ=1e300)
+        with pytest.raises(StepSizeError, match="diverged at step 1;"):
+            classical_trajectory(p, ClassicalState(phi=1.0, n=0.0), np.linspace(0.0, 1.0, 11))
+
     def test_drift_raises_where_the_reference_drifts(self):
         p = TransmonParams(EC=1.0, EJ=100.0)
         t = np.linspace(0, 50, 101)
