@@ -67,7 +67,7 @@ class RegionPartition:
 @dataclass(frozen=True)
 class CavityModes:
     """Closed-cavity standing waves sqrt(2/l) sin(omega_k z / c): their
-    frequencies and their closed-form traces at the interface."""
+    frequencies and their closed-form signed trace at the interface."""
 
     part: RegionPartition
     freqs: np.ndarray
@@ -76,15 +76,15 @@ class CavityModes:
     def n_modes(self) -> int:
         return self.freqs.size
 
-    def interface_traces(self) -> tuple:
-        """(u_k(l), du_k/dz at l) for every mode, in closed form: the value
-        is exactly zero under the PEC cavity closure, the slope under PMC."""
-        l = self.part.cavity_length
-        sign = (-1.0) ** np.arange(self.n_modes)
-        zero = np.zeros(self.n_modes)
-        if self.part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
-            return sign * np.sqrt(2.0 / l), zero
-        return zero, -sign * np.sqrt(2.0 / l) * self.freqs / self.part.wave_speed
+    def interface_trace(self) -> np.ndarray:
+        """u_k' - u_k at the interface z = l for modes k = 0, 1, ..., in closed
+        form.  The closure makes one term exactly zero: the slope under PMC,
+        which leaves -(-1)^k sqrt(2/l), the value under PEC, which leaves
+        -(-1)^k sqrt(2/l) omega_k / c."""
+        trace = -(-1.0) ** np.arange(self.n_modes) * np.sqrt(2.0 / self.part.cavity_length)
+        if self.part.interface_bc is InterfaceClosure.PEC_CAVITY_PMC_PORT:
+            trace = trace * self.freqs / self.part.wave_speed
+        return trace
 
 
 def cavity_modes_1d(part: RegionPartition, n_modes: int) -> CavityModes:
@@ -102,16 +102,16 @@ def cavity_modes_1d(part: RegionPartition, n_modes: int) -> CavityModes:
     return CavityModes(part=part, freqs=freqs)
 
 
-def port_interface_traces(part: RegionPartition, omega_grid: np.ndarray) -> tuple:
-    """(psi_p(l), d psi_p/dz at l) of the delta-normalized port waves on the
-    grid: the value is exactly zero under the PEC port closure, the slope
-    under PMC."""
+def port_interface_trace(part: RegionPartition, omega_grid: np.ndarray) -> np.ndarray:
+    """psi_p + psi_p' at the interface of the delta-normalized port waves on
+    the grid, in closed form.  The closure makes one term exactly zero: the
+    value under PEC, which leaves sqrt(2/(pi c)) omega_p / c, the slope under
+    PMC, which leaves sqrt(2/(pi c))."""
     c = part.wave_speed
     amp = np.sqrt(2.0 / (np.pi * c))
-    zero = np.zeros(omega_grid.size)
     if part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
-        return zero, amp * omega_grid / c
-    return np.full(omega_grid.size, amp), zero
+        return amp * omega_grid / c
+    return np.full(omega_grid.size, amp)
 
 
 def coupling_coefficients(cavity: CavityModes, omega_grid: np.ndarray,
@@ -120,16 +120,17 @@ def coupling_coefficients(cavity: CavityModes, omega_grid: np.ndarray,
 
     W_{k,p} = (c^2/2)/sqrt(omega_k omega_p) (u_k' psi_p - u_k psi_p')
     sqrt(delta-omega) is the interface Wronskian of the two region bases,
-    times the discretization factor; under either closure one of its two
-    products vanishes identically.  The counter-rotating partner is -W.
+    times the discretization factor.  The closures are complementary, so
+    u_k' psi_p' and u_k psi_p vanish too, and the Wronskian is the product
+    (u_k' - u_k)(psi_p + psi_p') of the two signed traces.  The
+    counter-rotating partner is -W.
     """
     c = np.float64(cavity.part.wave_speed)
-    u, du = cavity.interface_traces()
-    psi, dpsi = port_interface_traces(cavity.part, omega_grid)
+    a, p = cavity.interface_trace(), port_interface_trace(cavity.part, omega_grid)
     # overflow (a huge wave_speed) leaves inf or nan entries, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         pref = (c**2 / 2.0) / np.sqrt(np.outer(cavity.freqs, omega_grid))
-        w = pref * (np.outer(du, psi) - np.outer(u, dpsi)) * np.sqrt(delta_omega)
+        w = pref * np.outer(a, p) * np.sqrt(delta_omega)
     if not np.all(np.isfinite(w)):
         raise NumericError("coupling matrix contains non-finite entries")
     return w
@@ -181,27 +182,6 @@ def port_continuum(cavity: CavityModes, omega_max: float, n_bins: int) -> BathDi
                               W=coupling_coefficients(cavity, grid, delta))
 
 
-def _completion_term(bath: BathDiscretization) -> tuple:
-    """Completion (contact) term restoring positive definiteness.
-
-    The truncated basis on one side of the interface cannot represent a
-    nonzero boundary value there; the exact quadratic form of the closed
-    universe leaves behind a rank-one boundary penalty ``coeff v v^T`` on
-    the other side: the cavity block under the PMC cavity closure, the port
-    block under the PEC one.  Returns (coefficient, vector).
-    """
-    part, cavity = bath.part, bath.cavity
-    c = part.wave_speed
-    if part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
-        # port basis vanishes at the interface: penalty lands on the cavity
-        d_eff = np.pi * c / bath.delta_omega
-        coeff = c**2 * (2 * bath.n_bins + 1) / (2.0 * d_eff)
-        return coeff, cavity.interface_traces()[0] / np.sqrt(cavity.freqs)
-    coeff = c**2 * (2 * cavity.n_modes + 1) / (2.0 * part.cavity_length)
-    psi = port_interface_traces(part, bath.omega_grid)[0]
-    return coeff, psi * np.sqrt(bath.delta_omega) / np.sqrt(bath.omega_grid)
-
-
 def _coupled_form(bath: BathDiscretization, lam: float, boundary_completion: bool,
                   factor: float) -> tuple:
     """The form ``diag(omega) + factor (lam W blocks + lam^2 completion
@@ -209,27 +189,32 @@ def _coupled_form(bath: BathDiscretization, lam: float, boundary_completion: boo
     quadrature block before its scaling by sqrt(omega) for factor 2) as the
     parts ``(C, z, b, sigma)`` of ``qops.rank_one_coupling_spectrum``.
 
-    ``factor lam W = z b^T`` up to rounding, from the closed-form traces:
+    ``factor lam W = z b^T`` up to rounding, from the signed traces:
     ``z = factor lam (c^2/2)(u_k' - u_k)/sqrt(omega_k)`` and ``b = (psi_p +
-    psi_p') sqrt(delta_omega)/sqrt(omega_p)``, where one term of each sum is
-    exactly zero.  The completion term lies in the cavity block C, or, under
-    the PMC port closure, where ``b`` is bit for bit its vector, in ``sigma
-    b b^T``.  Overflow leaves inf or nan entries, without a warning.
+    psi_p') sqrt(delta_omega)/sqrt(omega_p)``.
+
+    The completion (contact) term restores positive definiteness: the
+    truncated basis on one side of the interface cannot represent a nonzero
+    boundary value there, and the closed universe's exact quadratic form
+    leaves a rank-one boundary penalty on the other side.  Under the PMC
+    cavity closure it lands in C along (u_k' - u_k)/sqrt(omega_k); under the
+    PEC one it is ``sigma b b^T``.  Overflow leaves inf or nan entries,
+    without a warning.
     """
-    c = bath.part.wave_speed
-    u, du = bath.cavity.interface_traces()
-    psi, dpsi = port_interface_traces(bath.part, bath.omega_grid)
-    b = (psi + dpsi) * np.sqrt(bath.delta_omega) / np.sqrt(bath.omega_grid)
-    cavity_block = np.diag(bath.cavity.freqs)
+    part, cavity, grid = bath.part, bath.cavity, bath.omega_grid
+    c, a = part.wave_speed, cavity.interface_trace()
+    b = port_interface_trace(part, grid) * np.sqrt(bath.delta_omega) / np.sqrt(grid)
+    cavity_block = np.diag(cavity.freqs)
     sigma = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        if boundary_completion:
-            coeff, v = _completion_term(bath)
-            if bath.part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
-                cavity_block += factor * lam * lam * coeff * np.outer(v, v)
-            else:
-                sigma = factor * lam * lam * coeff
-        z = factor * lam * ((c**2 / 2.0) * (du - u) / np.sqrt(bath.cavity.freqs))
+        if boundary_completion and part.interface_bc is InterfaceClosure.PMC_CAVITY_PEC_PORT:
+            coeff = c**2 * (2 * bath.n_bins + 1) / (2.0 * (np.pi * c / bath.delta_omega))
+            v = a / np.sqrt(cavity.freqs)
+            cavity_block += factor * lam * lam * coeff * np.outer(v, v)
+        elif boundary_completion:
+            coeff = c**2 * (2 * cavity.n_modes + 1) / (2.0 * part.cavity_length)
+            sigma = factor * lam * lam * coeff
+        z = factor * lam * ((c**2 / 2.0) * a / np.sqrt(cavity.freqs))
     return cavity_block, z, b, sigma
 
 
@@ -273,16 +258,6 @@ def global_mode_frequencies(part: RegionPartition, n_modes: int) -> np.ndarray:
     return m * np.pi * part.wave_speed / part.oracle_total_length
 
 
-def _one_excitation_spectrum(bath: BathDiscretization, coupling_scale: float,
-                            boundary_completion: bool = True) -> tuple:
-    """Eigenvalues of the one-excitation Hamiltonian (``_coupled_form`` at
-    factor 1) and the cavity rows of its eigenvectors, without building it:
-    ``qops.rank_one_coupling_spectrum`` solves the rank-one parts through a
-    secular equation.  Returns ``(Spectrum, secular_iterations)``."""
-    c, z, b, sigma = _coupled_form(bath, float(coupling_scale), boundary_completion, 1.0)
-    return rank_one_coupling_spectrum(Operator(c), z, bath.omega_grid, b, sigma)
-
-
 def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
                      coupling_scale: float = 1.0,
                      boundary_completion: bool = True) -> Trajectory:
@@ -291,13 +266,12 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
     The counter-rotating -W block is dropped (rotating-wave restriction,
     recorded in metadata), so evolution stays in the one-quantum sector of
     dimension n_cavity_modes + n_bins.  Its eigenvalues and the cavity rows
-    X of its eigenvectors come from ``_one_excitation_spectrum`` (the
-    rank-one parts of ``_coupled_form`` through a secular equation, no
-    dense solve beyond the cavity block), and the cavity
-    amplitudes are ``X diag(exp(-i mu t)) X[k]^T``.  The ``norm`` series is
-    ``sqrt(sum_n X[k, n]^2)``, constant in t; ``spectral_weight_deficit``
-    is ``|1 - sum_n X[k, n]^2|`` and ``secular_iterations`` the most
-    iterations any root took.
+    X of its eigenvectors come from the rank-one parts of ``_coupled_form``
+    at factor 1 through a secular equation, with no dense solve beyond the
+    cavity block, and the cavity amplitudes are ``X diag(exp(-i mu t))
+    X[k]^T``.  The ``norm`` series is ``sqrt(sum_n X[k, n]^2)``, constant in
+    t; ``spectral_weight_deficit`` is ``|1 - sum_n X[k, n]^2|`` and
+    ``secular_iterations`` the most iterations any root took.
 
     Returns the total cavity population P(t) plus the golden-rule rate
     from the resonant bin (always) and a log-linear rate fit over
@@ -311,7 +285,8 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
     if not 0 <= cavity_mode_index < cavity.n_modes:
         raise IndexError(f"cavity mode {cavity_mode_index} outside [0, {cavity.n_modes})")
     lam = float(coupling_scale)
-    spec, iterations = _one_excitation_spectrum(bath, lam, boundary_completion)
+    c, z, b, sigma = _coupled_form(bath, lam, boundary_completion, 1.0)
+    spec, iterations = rank_one_coupling_spectrum(Operator(c), z, bath.omega_grid, b, sigma)
     start = np.zeros(cavity.n_modes)
     start[cavity_mode_index] = 1.0
     amps = spec.propagate(start, t)

@@ -227,7 +227,7 @@ def run_bath(cfg: RunConfig, verbose: bool) -> RunResult:
     # closed universe the grid actually encodes: grid spacing pi*c/delta
     # sets the effective port length (equals total_length when commensurate)
     l_eff = part.cavity_length + np.pi * part.wave_speed / disc.delta_omega
-    exact = np.arange(1, n_report + 1) * np.pi * part.wave_speed / l_eff
+    exact = bath_mod.global_mode_frequencies(replace(part, oracle_total_length=l_eff), n_report)
     rows = [(i + 1, freqs[i], exact[i], abs(freqs[i] - exact[i]) / exact[i])
             for i in range(n_report)]
     tables = {"bath_spectrum.csv": (["mode", "omega", "omega_global", "rel_err"], rows)}

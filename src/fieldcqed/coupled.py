@@ -113,9 +113,15 @@ def mode_rates(modes: ModeSet, cs: CouplingSpec) -> np.ndarray:
 
 
 def coupling_table(ts: TransmonSolution, rates: np.ndarray, m: int) -> np.ndarray:
-    """(m, m, n_modes) table g_{ij,l} = <i|n|j> * rates[l]."""
+    """(m, m, n_modes) table g_{ij,l} = <i|n|j> * rates[l]; NumericError on overflow."""
+    if m > ts.n_levels:
+        raise ContractViolationError(f"transmon solution has only {ts.n_levels} levels")
     me = np.array([[charge_matrix_element(ts, i, j) for j in range(m)] for i in range(m)])
-    return me.reshape(m, m, 1) * rates
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = me.reshape(m, m, 1) * rates
+    if not np.all(np.isfinite(table)):
+        raise NumericError(f"coupling table is not finite: mode rates {rates.tolist()}")
+    return table
 
 
 def coupling_strength(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
@@ -145,8 +151,6 @@ def _assemble(ts: TransmonSolution, modes: ModeSet, m: int, fock_cutoffs,
               g_table: np.ndarray) -> CoupledHamiltonian:
     if m < 2:
         raise ContractViolationError(f"need at least 2 transmon levels, got {m}")
-    if m > ts.n_levels:
-        raise ContractViolationError(f"transmon solution has only {ts.n_levels} levels")
     cutoffs = tuple(int(c) for c in fock_cutoffs)
     if len(cutoffs) != modes.n_modes:
         raise ContractViolationError("need one Fock cutoff per mode")

@@ -18,10 +18,8 @@ from fieldcqed.bath import (
     global_mode_frequencies,
     normal_mode_spectrum,
     port_continuum,
-    port_interface_traces,
-    _completion_term,
+    port_interface_trace,
     _coupled_form,
-    _one_excitation_spectrum,
 )
 from fieldcqed.dynamics import Trajectory
 from fieldcqed.errors import ContractViolationError, ModelError, NumericError
@@ -38,7 +36,7 @@ def make_partition(bc=A, l=1.0, c=1.0, total=10.0):
 
 def mode_shape(cavity, k, z):
     """u_k(z) = sqrt(2/l) sin(omega_k z / c), the cavity standing wave whose
-    closed-form traces CavityModes.interface_traces returns."""
+    closed-form signed trace CavityModes.interface_trace returns."""
     l = cavity.part.cavity_length
     return np.sqrt(2.0 / l) * np.sin(cavity.freqs[k] * np.asarray(z, dtype=float) / cavity.part.wave_speed)
 
@@ -105,25 +103,24 @@ def test_mode_shapes_orthonormal():
 
 
 def test_interface_traces_closed_form():
+    # u_k' - u_k: the PMC cavity closure zeroes the slope, the PEC one the value
     cavity = cavity_modes_1d(make_partition(A, l=2.0), 4)
-    value, slope = cavity.interface_traces()
-    assert np.array_equal(slope, np.zeros(4))
-    assert np.allclose(value, [1.0, -1.0, 1.0, -1.0], rtol=1e-15)
+    assert np.allclose(cavity.interface_trace(), [-1.0, 1.0, -1.0, 1.0], rtol=1e-15)
     cavity_b = cavity_modes_1d(make_partition(B, l=2.0), 4)
-    value_b, slope_b = cavity_b.interface_traces()
-    assert np.array_equal(value_b, np.zeros(4))
-    assert np.allclose(slope_b, (-1.0) ** np.arange(1, 5) * cavity_b.freqs, rtol=1e-15)
+    assert np.allclose(cavity_b.interface_trace(), (-1.0) ** np.arange(1, 5) * cavity_b.freqs,
+                       rtol=1e-15)
 
 
 def test_interface_traces_match_mode_shape():
-    part = make_partition(B, l=1.5, c=2.0)
-    cavity = cavity_modes_1d(part, 3)
-    h = 1e-7
-    _, slope = cavity.interface_traces()
-    for k in range(3):
-        fd = (mode_shape(cavity, k, part.cavity_length)
-              - mode_shape(cavity, k, part.cavity_length - h)) / h
-        assert slope[k] == pytest.approx(fd, rel=1e-5)
+    # slope by a central difference of the mode shape, minus its value
+    h = 1e-6
+    for bc in (A, B):
+        part = make_partition(bc, l=1.5, c=2.0)
+        cavity = cavity_modes_1d(part, 3)
+        l = part.cavity_length
+        for k, trace in enumerate(cavity.interface_trace()):
+            slope = (mode_shape(cavity, k, l + h) - mode_shape(cavity, k, l - h)) / (2 * h)
+            assert trace == pytest.approx(slope - mode_shape(cavity, k, l), rel=1e-7)
 
 
 def test_port_grid_placement():
@@ -138,13 +135,13 @@ def test_port_grid_placement():
 
 
 def test_port_interface_traces():
+    # psi_p + psi_p': the PEC port closure zeroes the value, the PMC one the slope
     grid = np.arange(1.0, 9.0)
-    value, slope = port_interface_traces(make_partition(A, c=4.0), grid)
-    assert np.array_equal(value, np.zeros(8))
-    assert np.allclose(slope, np.sqrt(2.0 / (np.pi * 4.0)) * grid / 4.0, rtol=1e-15)
-    value_b, slope_b = port_interface_traces(make_partition(B, c=4.0), grid - 0.5)
-    assert np.array_equal(slope_b, np.zeros(8))
-    assert np.allclose(value_b, np.sqrt(2.0 / (np.pi * 4.0)), rtol=1e-15)
+    amp = np.sqrt(2.0 / (np.pi * 4.0))
+    assert np.allclose(port_interface_trace(make_partition(A, c=4.0), grid), amp * grid / 4.0,
+                       rtol=1e-15)
+    assert np.allclose(port_interface_trace(make_partition(B, c=4.0), grid - 0.5), amp,
+                       rtol=1e-15)
 
 
 def test_validation_errors():
@@ -262,10 +259,7 @@ def test_one_step_bath_matches_reference_construction(bc, l, c, total, n_modes, 
     bath = commensurate_bath(cavity, n_bins)
     grid, delta = bath.omega_grid, bath.delta_omega
     assert np.array_equal(bath.W, _ref_coupling(cavity, grid, delta))
-    coeff, v = _completion_term(bath)
     _, ref_coeff, ref_v = _ref_completion(cavity, grid, delta)
-    assert coeff == ref_coeff
-    assert np.array_equal(v, ref_v)
     for factor in (1.0, 2.0):
         # the rank-one parts carry the completion term on the reference's block
         ref = _ref_coupled_matrix(cavity, grid, delta, 0.3, factor)
@@ -273,6 +267,10 @@ def test_one_step_bath_matches_reference_construction(bc, l, c, total, n_modes, 
         assert np.array_equal(c_block, ref[:n_modes, :n_modes])
         assert np.array_equal(np.diag(grid) + sigma * np.outer(b, b), ref[n_modes:, n_modes:])
         assert np.allclose(np.outer(z, b), ref[:n_modes, n_modes:], rtol=4 * EPS, atol=0.0)
+        if bc is B:
+            # the port-side completion vector is b itself
+            assert np.array_equal(b, ref_v)
+            assert sigma == factor * 0.3 * 0.3 * ref_coeff
 
 
 def test_zero_coupling_spectrum_is_plain_union():
@@ -356,6 +354,14 @@ def test_normal_modes_match_extended_precision_oracle(closure):
     assert np.max(np.abs(freqs - exact) / exact) < 5e-14
 
 
+def one_excitation_spectrum(bath, lam, completion):
+    """The secular solve inside decay_simulation: ``_coupled_form`` at factor
+    1 through ``qops.rank_one_coupling_spectrum``.  Returns ``(Spectrum,
+    secular_iterations)``."""
+    c, z, b, sigma = _coupled_form(bath, float(lam), completion, 1.0)
+    return qops.rank_one_coupling_spectrum(qops.Operator(c), z, bath.omega_grid, b, sigma)
+
+
 def test_decay_zero_coupling_is_constant():
     part = make_partition(A)
     cavity = cavity_modes_1d(part, 4)
@@ -371,7 +377,7 @@ def test_zero_coupling_is_exact_decoupling(bc, completion):
     # regions and every cavity mode is its own eigenvector
     cavity = cavity_modes_1d(make_partition(bc), 5)
     bath = commensurate_bath(cavity, 30)
-    spec, iterations = _one_excitation_spectrum(bath, 0.0, completion)
+    spec, iterations = one_excitation_spectrum(bath, 0.0, completion)
     assert iterations == 0
     assert np.array_equal(spec.evals, np.sort(np.concatenate([cavity.freqs, bath.omega_grid])))
     cavity_columns = np.isin(spec.evals, cavity.freqs)
@@ -400,7 +406,7 @@ def test_secular_solve_matches_dense_eigh(closure, completion, lam, n_modes, n_b
     and every cavity-to-cavity population of the propagator, up to the
     time over which the dense solve's own rounding stays below the bound."""
     bath = commensurate_bath(cavity_modes_1d(make_partition(closure), n_modes), n_bins)
-    spec, _ = _one_excitation_spectrum(bath, lam, completion)
+    spec, _ = one_excitation_spectrum(bath, lam, completion)
     dense = dense_one_excitation(bath, lam, completion)
     scale = np.abs(dense.evals).max()
     assert np.max(np.abs(spec.evals - dense.evals)) <= 1e-12 * scale

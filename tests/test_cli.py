@@ -341,6 +341,53 @@ class TestMainExitCodes:
         assert "coupling rate is not finite" in err
         assert not out.exists()
 
+    def test_overflowing_coupling_table_returns_three(self, tmp_path, capsys):
+        # finite rates whose product with a charge element overflows: this
+        # used to exit 0 with inf rows and -Infinity in summary.json
+        payload = {"mode": "couple", "transmon": {"E_C": 0.3, "E_J": 15},
+                   "line": {**MODES_LINE, "n_modes": 1},
+                   "coupling": {"beta": 1, "z0": 0, "path_gain": 4.3e298}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["couple", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: coupling table is not finite")
+        assert not out.exists()
+
+    def test_grid_too_coarse_for_its_encoded_universe_returns_three(self, tmp_path, capsys):
+        # pi c / delta_omega vanishes beside cavity_length, so the closed
+        # universe the grid encodes has no port; no table is written for it
+        payload = {"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1.0,
+                                            "n_cavity_modes": 1, "n_bins": 8,
+                                            "omega_max": 1e20}}
+        out = tmp_path / "out"
+        assert cli.main(["bath", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, payload, problem", [
+        ("couple", {"transmon": {"E_C": 0.3, "E_J": 15}, "line": MODES_LINE,
+                    "coupling": {"beta": 0.2, "z0": 0.02}},
+         "$.coupling.z0: coupling position lies beyond the line length"),
+        ("transmon", {"transmon": {"E_C": 0.3, "E_J": 15, "n_cutoff": 2, "n_levels": 6}},
+         "$.transmon.n_levels: more levels than the charge basis holds (5)"),
+        ("bath", {"bath": {"cavity_length": 1.0, "wave_speed": 1.0, "n_cavity_modes": 3,
+                           "cavity_mode_index": 3}},
+         "$.bath.cavity_mode_index: outside the cavity mode range"),
+    ])
+    def test_cross_field_rules_are_one_config_error(self, tmp_path, capsys, mode, payload,
+                                                    problem):
+        cfg = write_config(tmp_path, {"mode": mode, **payload})
+        out = tmp_path / "out"
+        assert cli.main([mode, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not out.exists()
+
     def test_failure_after_the_sweep_leaves_no_output(self, tmp_path, capsys):
         # the level table is computed before the anharmonicity fails (a free
         # rotor at n_cutoff 1 has only two distinct levels); none of it is written
@@ -467,6 +514,25 @@ class TestOutputs:
         assert [coupled.coupling_strength(ts, modes, cs, i, j, mode - 1)
                 for i, j, mode in keys] == data["g"].tolist()
         assert scalars["g_01_mode1"] == data["g"][0]
+
+    def test_couple_reads_an_explicit_cross_section(self, tmp_path):
+        xsec = {"w": 1e-5, "d": 2e-6, "eps_r": 11.7}
+        payload = {"mode": "couple", "transmon": {"E_C": 0.3, "E_J": 15, "n_levels": 3},
+                   "line": {**MODES_LINE, "n_modes": 2}, "cross_section": xsec,
+                   "coupling": {"beta": 0.2, "z0": 0.003}}
+        assert cli.main(["couple", "--config", write_config(tmp_path, payload),
+                         "--out", str(tmp_path)]) == 0
+        ts = tq.solve(tq.TransmonParams(EC=0.3, EJ=15.0))
+        line = tx.LineParams(**MODES_LINE)
+        rates = {name: coupled.mode_rates(tx.mode_operator_coeffs(tx.compute_modes(line, 2), x),
+                                          coupled.CouplingSpec(beta=0.2, z0=0.003))
+                 for name, x in (("explicit", tx.tem_cross_section(**xsec)),
+                                 ("matched", tx.matched_cross_section(line)))}
+        g = coupled.coupling_table(ts, rates["explicit"], 3)
+        data = np.genfromtxt(tmp_path / "coupling_strengths.csv", delimiter=",", names=True)
+        rows = zip(data["i"].astype(int), data["j"].astype(int), data["mode"].astype(int))
+        assert [g[i, j, mode - 1] for i, j, mode in rows] == data["g"].tolist()
+        assert not np.allclose(rates["explicit"], rates["matched"])
 
     def test_couple_builds_one_table(self, tmp_path, monkeypatch):
         # one rate vector and at most one charge element per ordered level pair

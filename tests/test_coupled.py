@@ -520,3 +520,43 @@ class TestRateFactorisation:
                          lambda: build_full_hamiltonian(ts, modes, cs, 3, (2, 2))):
                 with pytest.raises(NumericError, match="coupling rate is not finite"):
                     call()
+
+
+class TestTableAndAssemblyGuards:
+    @pytest.mark.parametrize("route", ["full", "nn", "field"])
+    def test_more_levels_than_the_solution_holds(self, route):
+        # m 6 on a 5-level solution used to end in an IndexError from the
+        # charge elements, before the assembler's own check could run
+        ts = solve(TransmonParams(EC=0.3 * GHZ, EJ=15.0 * GHZ, n_cutoff=2))
+        _, line, xsec, modes = make_system()
+        cs = CouplingSpec(0.2, 0.3 * line.length)
+        call = {"full": lambda: build_full_hamiltonian(ts, modes, cs, 6, (2,)),
+                "nn": lambda: build_nn_hamiltonian(ts, modes, cs, 6, (2,)),
+                "field": lambda: field_reduction_check(ts, modes, xsec, cs, 6, (2,))}[route]
+        with pytest.raises(ContractViolationError, match="transmon solution has only 5 levels"):
+            call()
+
+    def test_overflowing_table_is_a_numeric_error(self):
+        # a finite rate of 1.7e308 times a charge element above 1.06
+        # overflows; this used to return inf entries with a RuntimeWarning
+        ts, line, _, modes = make_system()
+        assert abs(charge_matrix_element(ts, 0, 1)) > 1.06
+        gain = 1.7e308 / mode_rates(modes, CouplingSpec(1.0, 0.0))[0]
+        cs = CouplingSpec(1.0, 0.0, path_gain=gain)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(mode_rates(modes, cs)).all()
+            with pytest.raises(NumericError, match="coupling table is not finite"):
+                coupling_table(ts, np.array([1.7e308]), 2)
+            with pytest.raises(NumericError, match="coupling table is not finite"):
+                build_full_hamiltonian(ts, modes, cs, 3, (2,))
+
+    @pytest.mark.parametrize("m, cutoffs, message", [
+        (1, (2,), "need at least 2 transmon levels"),
+        (3, (2, 2), "need one Fock cutoff per mode"),
+        (3, (1,), "each Fock cutoff must be at least 2"),
+    ])
+    def test_assembler_rejects_a_bad_basis(self, m, cutoffs, message):
+        ts, line, _, modes = make_system()
+        with pytest.raises(ContractViolationError, match=message):
+            build_full_hamiltonian(ts, modes, CouplingSpec(0.2, 0.3 * line.length), m, cutoffs)

@@ -72,6 +72,11 @@ class TestTrajectory:
         with pytest.raises(ContractViolationError, match="finite"):
             Trajectory(times=np.array([0.0, 1.0, bad]), series={})
 
+    @pytest.mark.parametrize("t", [[], [0.0], [[0.0, 1.0]]])
+    def test_grid_needs_two_points_in_one_dimension(self, t):
+        with pytest.raises(ContractViolationError, match="1D time grid with at least 2 points"):
+            dynamics.time_grid(t)
+
 
 # a NaN passes the ascending test (np.diff gives NaN, and NaN <= 0 is False)
 NONFINITE_GRIDS = [np.array([0.0, 0.5, np.nan, 1.5]), np.array([0.0, 0.5, 1.0, np.inf])]
@@ -163,6 +168,14 @@ class TestEvolve:
             evolve(h, psi0, t, {"a": Operator(annihilation_op(3))})
         with pytest.raises(ContractViolationError, match="expected an Operator"):
             evolve(h, psi0, t, {"a": annihilation_op(3)})
+
+    def test_dimension_mismatches(self):
+        h = Operator(np.diag([0.0, 1.0, 2.0]))
+        t = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(DimensionMismatchError, match="H dim 3 does not match state dim 2"):
+            evolve(h, StateVector.basis_state(2, 0), t)
+        with pytest.raises(DimensionMismatchError, match="observable 'x' dimension mismatch"):
+            evolve(h, StateVector.basis_state(3, 0), t, {"x": Operator(np.eye(2))})
 
     def test_population_keys_name_the_coupled_basis(self):
         ts = solve(TransmonParams(EC=0.3 * GHZ, EJ=15.0 * GHZ))

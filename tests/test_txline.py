@@ -183,6 +183,20 @@ class TestEnergyCorrespondence:
             analytic = float(np.sum(hbar * ms.freqs * (np.abs(q) ** 2 + np.abs(p) ** 2) / 2.0))
             assert line == pytest.approx(analytic, rel=1e-9)
 
+    @pytest.mark.parametrize("bc", list(BoundaryCondition))
+    def test_closed_form_energy_on_every_boundary(self, bc):
+        # sum_l hbar omega_l (|q_l|^2 + |p_l|^2) / 2 from the fields and from
+        # the line; p drives the current shape v_l of each boundary
+        line = LineParams(L_pul=4.0e-7, C_pul=1.6e-10, length=0.0125, bc=bc)
+        xs = tem_cross_section(**XSEC_ARGS)
+        ms = mode_operator_coeffs(compute_modes(line, 3), xs)
+        q = np.array([1.0, 0.5j, -0.25])
+        p = np.array([0.3, -0.7, 0.2 + 0.4j])
+        analytic = float(np.sum(hbar * ms.freqs * (np.abs(q) ** 2 + np.abs(p) ** 2) / 2.0))
+        field, line_energy = energy_correspondence(ms, xs, q, p)
+        assert field == pytest.approx(analytic, rel=1e-13)
+        assert line_energy == pytest.approx(analytic, rel=1e-13)
+
     def test_conventions_agree_with_each_other(self):
         # FULL_LENGTH rescales both sides identically, so field == line holds
         ms, xs = self._modes(n=2, conv=LongitudinalNorm.FULL_LENGTH)
