@@ -244,9 +244,11 @@ def normal_mode_spectrum(bath: BathDiscretization, coupling_scale: float = 1.0,
         raise NumericError(f"coupling_scale {lam:g} overflows the coupled quadratic form")
     sq = rank_one_coupling_spectrum(Operator(c), z, bath.omega_grid**2, b, sigma)[0].evals
     if sq[0] <= 0.0:
-        raise ModelError(
-            "coupled quadrature form is not positive definite "
-            f"(min eigenvalue {sq[0]:.3e}); the boundary completion term is required")
+        advice = (f"with the completion term on, rounding broke it: reduce the port bin width "
+                  f"omega_max/n_bins ({bath.delta_omega:.3e}) or coupling_scale ({lam:g})"
+                  if boundary_completion else "the boundary completion term is required")
+        raise ModelError("coupled quadrature form is not positive definite "
+                         f"(min eigenvalue {sq[0]:.3e}); {advice}")
     return np.sqrt(sq)
 
 

@@ -2,13 +2,13 @@
 
 Outputs are deterministic: identical configs produce byte-identical files.
 Numbers are written with 17 significant digits, CSV rows end in LF, and
-JSON keys are sorted.  Exit codes: 0 success, 2 config error (an
-unreadable config file and an output path that is not a directory or
-cannot be written included), 3 numeric or model error, 4 check failure.
-Runners only compute; ``main`` checks the output path before the runner
-runs, then creates the output directory and writes every file after the
-runner has returned, and a write that fails removes what the run wrote,
-so a run that fails leaves nothing behind.
+JSON keys are sorted.  Exit codes: 0 success, 2 config error (an unreadable
+config file and an output path that is not a directory or cannot be written
+included), 3 numeric or model error (a run too large for memory included), 4
+check failure.  Runners only compute; ``main`` checks the output path before
+the runner runs, then creates the output directory and writes every file
+after the runner has returned, and a write that fails removes what the run
+wrote, so a run that fails leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -30,24 +30,9 @@ from . import coupled as coupled_mod
 from . import dynamics as dyn
 from . import transmon as tq
 from . import txline as tx
-from .errors import ConfigError, FieldCqedError
+from .errors import ConfigError, FieldCqedError, ModelError
 
 UNITS = ("si", "natural")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    units: str = "natural"
-    out_dir: str = "."
-    transmon: dict = None
-    line: dict = None
-    cross_section: dict = None
-    coupling: dict = None
-    bath: dict = None
-    time_grid: dict = None
-    sweep: dict = None
-    initial_levels: list = None
 
 
 @dataclass(frozen=True)
@@ -60,38 +45,26 @@ class RunResult:
     passed: bool = True
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header, rows):
+    # level and mode indices are far below 2**53, so %.17g prints them as str(int) does
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(row % tuple(r) for r in rows)
 
 
 def _write_json(path: Path, payload: dict):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _summary(out_dir: Path, cfg: RunConfig, outputs, scalars: dict):
-    _write_json(out_dir / "summary.json", {
-        "mode": cfg.mode,
-        "units": cfg.units,
-        "outputs": sorted(outputs),
-        "scalars": scalars,
-    })
-
-
-def _write_outputs(out_dir: Path, cfg: RunConfig, result: RunResult):
-    """Write every file of ``result`` into ``out_dir``.  On an ``OSError``,
-    remove the files this call was writing and the directories it created,
-    then re-raise; the old contents of an overwritten file are lost."""
+def _write_outputs(out_dir: Path, cfg: dict, result: RunResult):
+    """Write every file of ``result``, then ``summary.json``, into ``out_dir``.  On an
+    ``OSError``, remove the files this call was writing and the directories it
+    created, then re-raise; the old contents of an overwritten file are lost."""
+    reports = {**result.reports, "summary.json": {
+        "mode": cfg["mode"], "units": cfg.get("units", "natural"),
+        "outputs": sorted([*result.tables, *result.reports]), "scalars": result.scalars}}
     created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     started = []
     try:
@@ -99,11 +72,9 @@ def _write_outputs(out_dir: Path, cfg: RunConfig, result: RunResult):
         for name, (header, rows) in result.tables.items():
             started.append(out_dir / name)
             _write_csv(out_dir / name, header, rows)
-        for name, payload in result.reports.items():
+        for name, payload in reports.items():
             started.append(out_dir / name)
             _write_json(out_dir / name, payload)
-        started.append(out_dir / "summary.json")
-        _summary(out_dir, cfg, [*result.tables, *result.reports], result.scalars)
     except OSError:
         for path in started:
             with contextlib.suppress(OSError):
@@ -121,23 +92,23 @@ def _transmon_params(block: dict) -> tq.TransmonParams:
                              sign=tq.TunnelingSign(block.get("tunneling_sign", "plus")))
 
 
-def _mode_set(cfg: RunConfig):
-    line = tx.LineParams(cfg.line["L_pul"], cfg.line["C_pul"], cfg.line["length"],
-                         tx.BoundaryCondition(cfg.line.get("boundary", "open-open")))
-    xs = cfg.cross_section or {}
+def _mode_set(cfg: dict):
+    block, xs = cfg["line"], cfg.get("cross_section", {})
+    line = tx.LineParams(block["L_pul"], block["C_pul"], block["length"],
+                         tx.BoundaryCondition(block.get("boundary", "open-open")))
     if "w" in xs:  # the schema makes w require d
         xsec = tx.tem_cross_section(xs["w"], xs["d"], xs.get("eps_r", 1.0))
     else:
         xsec = tx.matched_cross_section(line, d=xs.get("d", 5e-6))
-    conv = tx.LongitudinalNorm(cfg.line.get("convention", "integral"))
-    modes = tx.compute_modes(line, cfg.line.get("n_modes", 1), conv)
+    conv = tx.LongitudinalNorm(block.get("convention", "integral"))
+    modes = tx.compute_modes(line, block.get("n_modes", 1), conv)
     return tx.mode_operator_coeffs(modes, xsec)
 
 
-def run_transmon(cfg: RunConfig, verbose: bool) -> RunResult:
-    p0 = _transmon_params(cfg.transmon)
-    n_levels = min(cfg.transmon.get("n_levels", 4), p0.dim)
-    sweep = cfg.sweep or {}
+def run_transmon(cfg: dict, verbose: bool) -> RunResult:
+    p0 = _transmon_params(cfg["transmon"])
+    n_levels = min(cfg["transmon"].get("n_levels", 4), p0.dim)
+    sweep = cfg.get("sweep", {})
     ngs = np.linspace(sweep.get("start", 0.0), sweep.get("stop", 1.0),
                       sweep.get("n_points", 21))
     rows = [(ng, lvl, w[lvl]) for ng, w in zip(ngs, tq.level_sweep(p0, ngs))
@@ -152,7 +123,7 @@ def run_transmon(cfg: RunConfig, verbose: bool) -> RunResult:
     return RunResult(scalars, {"transmon_levels.csv": (["n_g", "level", "omega"], rows)})
 
 
-def run_modes(cfg: RunConfig, verbose: bool) -> RunResult:
+def run_modes(cfg: dict, verbose: bool) -> RunResult:
     modes = _mode_set(cfg)
     rows = [(l + 1, modes.freqs[l], modes.n_v[l], modes.n_i[l])
             for l in range(modes.freqs.size)]
@@ -168,13 +139,13 @@ def _coupling_spec(block: dict) -> coupled_mod.CouplingSpec:
         path_gain=block.get("path_gain", 1.0))
 
 
-def run_couple(cfg: RunConfig, verbose: bool) -> RunResult:
-    ts = tq.solve(_transmon_params(cfg.transmon))
+def run_couple(cfg: dict, verbose: bool) -> RunResult:
+    ts = tq.solve(_transmon_params(cfg["transmon"]))
     modes = _mode_set(cfg)
-    cs = _coupling_spec(cfg.coupling)
-    m = min(cfg.transmon.get("n_levels", 3), ts.n_levels)
+    cs = _coupling_spec(cfg["coupling"])
+    m = min(cfg["transmon"].get("n_levels", 3), ts.n_levels)
     n_modes = modes.freqs.size
-    cutoffs = cfg.coupling.get("fock_cutoffs", (4,) * n_modes)
+    cutoffs = cfg["coupling"].get("fock_cutoffs", (4,) * n_modes)
     g = coupled_mod.coupling_table(ts, coupled_mod.mode_rates(modes, cs), m)
     rows = [(i, j, l + 1, g[i, j, l])
             for i in range(m) for j in range(i + 1, m) for l in range(n_modes)]
@@ -186,14 +157,13 @@ def run_couple(cfg: RunConfig, verbose: bool) -> RunResult:
     return RunResult(scalars, {"coupling_strengths.csv": (["i", "j", "mode", "g"], rows)})
 
 
-def run_evolve(cfg: RunConfig, verbose: bool) -> RunResult:
-    p = _transmon_params(cfg.transmon)
+def run_evolve(cfg: dict, verbose: bool) -> RunResult:
+    p = _transmon_params(cfg["transmon"])
     s = tq.solve(p)
-    levels = cfg.initial_levels or (0, 1)
+    levels = cfg.get("initial_levels", (0, 1))
     amps = np.sum(s.eigvecs[:, list(levels)], axis=1)
     psi0 = dyn.StateVector.from_amplitudes(amps)
-    n_points = cfg.time_grid.get("n_points", 1001)
-    t = np.linspace(0.0, cfg.time_grid["t_max"], n_points)
+    t = np.linspace(0.0, cfg["time_grid"]["t_max"], cfg["time_grid"].get("n_points", 1001))
     h = tq.build_charge_hamiltonian(p)
     traj = dyn.evolve(h, psi0, t, observables={
         "n_expect": tq.charge_number_op(p.n_cutoff),
@@ -209,61 +179,66 @@ def run_evolve(cfg: RunConfig, verbose: bool) -> RunResult:
     return RunResult(scalars, {"evolution.csv": (cols, rows)})
 
 
-def run_bath(cfg: RunConfig, verbose: bool) -> RunResult:
-    b = cfg.bath
+def _port_grid(b: dict) -> tuple:
+    """The partition and port grid ``(omega_max, n_bins)`` of a bath block."""
     part = bath_mod.RegionPartition(
         cavity_length=b["cavity_length"], wave_speed=b["wave_speed"],
         interface_bc=bath_mod.InterfaceClosure(b.get("closure", "pmc-cavity-pec-port")),
         oracle_total_length=b.get("total_length"))
-    cavity = bath_mod.cavity_modes_1d(part, b.get("n_cavity_modes", 20))
     n_bins = b.get("n_bins", 200)
-    omega_max = b.get("omega_max",
-                      n_bins * np.pi * part.wave_speed / part.port_length)
+    return part, b.get("omega_max", n_bins * np.pi * part.wave_speed / part.port_length), n_bins
+
+
+def _encoded_universe(part: bath_mod.RegionPartition, delta: float):
+    """The closed universe a port grid encodes: its spacing pi*c/delta sets the port length."""
+    length = part.cavity_length + np.pi * part.wave_speed / delta
+    if length == part.cavity_length:
+        raise ModelError(f"omega_max/n_bins = {delta:.3g} encodes no port beside cavity_length")
+    return replace(part, oracle_total_length=length)
+
+
+def run_bath(cfg: dict, verbose: bool) -> RunResult:
+    b = cfg["bath"]
+    part, omega_max, n_bins = _port_grid(b)
+    cavity = bath_mod.cavity_modes_1d(part, b.get("n_cavity_modes", 20))
     disc = bath_mod.port_continuum(cavity, omega_max, n_bins)
     lam = b.get("coupling_scale", 1.0)
     completion = b.get("boundary_completion", True)
     freqs = bath_mod.normal_mode_spectrum(disc, lam, completion)
     n_report = min(10, freqs.size)
-    # closed universe the grid actually encodes: grid spacing pi*c/delta
-    # sets the effective port length (equals total_length when commensurate)
-    l_eff = part.cavity_length + np.pi * part.wave_speed / disc.delta_omega
-    exact = bath_mod.global_mode_frequencies(replace(part, oracle_total_length=l_eff), n_report)
+    exact = bath_mod.global_mode_frequencies(_encoded_universe(part, disc.delta_omega), n_report)
     rows = [(i + 1, freqs[i], exact[i], abs(freqs[i] - exact[i]) / exact[i])
             for i in range(n_report)]
     tables = {"bath_spectrum.csv": (["mode", "omega", "omega_global", "rel_err"], rows)}
     scalars = {"spectrum_rel_err_low5": float(
         max(abs(freqs[i] - exact[i]) / exact[i] for i in range(min(5, n_report))))}
-    if cfg.time_grid is not None:
-        t = np.linspace(0.0, cfg.time_grid["t_max"],
-                        cfg.time_grid.get("n_points", 601))
+    if "time_grid" in cfg:
+        t = np.linspace(0.0, cfg["time_grid"]["t_max"], cfg["time_grid"].get("n_points", 601))
         traj = bath_mod.decay_simulation(disc, b.get("cavity_mode_index", 0), t,
                                          lam, completion)
-        tables["bath_decay.csv"] = (
-            ["time", "cavity_population", "norm"],
-            zip(t, traj.series["cavity_population"], traj.series["norm"]))
+        tables["bath_decay.csv"] = (["time", "cavity_population", "norm"],
+                                    zip(t, traj.series["cavity_population"], traj.series["norm"]))
         for key in ("kappa_fit", "kappa_golden_rule", "recurrence_time"):
             if key in traj.metadata:
                 scalars[key] = float(traj.metadata[key])
     return RunResult(scalars, tables)
 
 
-def run_check(cfg: RunConfig, verbose: bool) -> RunResult:
+def run_check(cfg: dict, verbose: bool) -> RunResult:
     progress = (lambda msg: print(msg, file=sys.stderr)) if verbose else None
     results, scalars = checks.run_all(progress)
-    all_passed = True
-    payload = {}
     for suite, items in results.items():
-        payload[suite] = [r.as_dict() for r in items]
         for r in items:
-            tag = "PASS" if r.passed else "FAIL"
-            all_passed &= r.passed
-            print(f"{tag} {suite}: {r.name} (value {r.value:.6g}, bound {r.bound:.6g})")
-    report = {"all_passed": all_passed, "scalars": scalars, "suites": payload}
+            print(f"{'PASS' if r.passed else 'FAIL'} {suite}: {r.name} "
+                  f"(value {r.value:.6g}, bound {r.bound:.6g})")
+    all_passed = all(r.passed for items in results.values() for r in items)
+    report = {"all_passed": all_passed, "scalars": scalars,
+              "suites": {suite: [r.as_dict() for r in items] for suite, items in results.items()}}
     return RunResult(scalars, reports={"checks.json": report}, passed=all_passed)
 
 
 class Subcommand(NamedTuple):
-    run: Callable[[RunConfig, bool], RunResult]
+    run: Callable[[dict, bool], RunResult]
     blocks: tuple  # config blocks the mode requires
     help: str
 
@@ -427,26 +402,29 @@ def _cross_field_problems(data: dict) -> list:
         n_modes = data["line"].get("n_modes", 1)
         cutoffs = data["coupling"].get("fock_cutoffs")
         if cutoffs is not None and len(cutoffs) != n_modes:
-            problems.append(
-                f"$.coupling.fock_cutoffs: expected {n_modes} entries "
-                f"(one per line mode), got {len(cutoffs)}")
-        z0 = data["coupling"].get("z0", 0.0)
-        if z0 > data["line"]["length"]:
+            problems.append(f"$.coupling.fock_cutoffs: expected {n_modes} entries "
+                            f"(one per line mode), got {len(cutoffs)}")
+        if _coupling_spec(data["coupling"]).z0 > data["line"]["length"]:
             problems.append("$.coupling.z0: coupling position lies beyond the line length")
     if mode in ("transmon", "couple", "evolve"):
-        dim = 2 * data["transmon"].get("n_cutoff", 20) + 1
+        dim = _transmon_params(data["transmon"]).dim
         if data["transmon"].get("n_levels", 2) > dim:
-            problems.append(
-                f"$.transmon.n_levels: more levels than the charge basis holds ({dim})")
+            problems.append(f"$.transmon.n_levels: more levels than the charge basis holds ({dim})")
         for lvl in data.get("initial_levels", ()):
             if lvl >= dim:
-                problems.append(
-                    f"$.initial_levels: level {lvl} outside the charge basis ({dim})")
+                problems.append(f"$.initial_levels: level {lvl} outside the charge basis ({dim})")
     if mode == "bath":
         b = data["bath"]
-        total = b.get("total_length", 10.0 * b["cavity_length"])
-        if total <= b["cavity_length"]:
+        if "total_length" in b and b["total_length"] <= b["cavity_length"]:
             problems.append("$.bath.total_length: must exceed cavity_length")
+        else:  # the PMC cavity's completion term reads the encoded length: a model error there
+            part, omega_max, n_bins = _port_grid(b)
+            delta = omega_max / n_bins
+            if part.interface_bc is bath_mod.InterfaceClosure.PEC_CAVITY_PMC_PORT and delta > 0:
+                try:
+                    _encoded_universe(part, delta)
+                except ModelError as exc:
+                    problems.append(f"$.bath.omega_max: {exc}")
         if b.get("cavity_mode_index", 0) >= b.get("n_cavity_modes", 20):
             problems.append("$.bath.cavity_mode_index: outside the cavity mode range")
     return problems
@@ -462,8 +440,9 @@ def _finite(convert):
     return parse
 
 
-def parse_config(text: str, default_mode: str = None) -> RunConfig:
-    """Validate a JSON run configuration, reporting every violation at once."""
+def parse_config(text: str, default_mode: str = None) -> dict:
+    """Validate a JSON run configuration, reporting every violation at once,
+    and return the validated mapping."""
     try:
         data = json.loads(text, parse_constant=_finite(float),
                           parse_float=_finite(float), parse_int=_finite(int))
@@ -480,17 +459,15 @@ def parse_config(text: str, default_mode: str = None) -> RunConfig:
         problems = _cross_field_problems(data)
     if problems:
         raise ConfigError(problems)
-    return RunConfig(**data)
+    return data
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", default=None,
-                        help="JSON run configuration")
-    common.add_argument("--out", metavar="DIR", default=None,
+    common.add_argument("--config", metavar="PATH", help="JSON run configuration")
+    common.add_argument("--out", metavar="DIR",
                         help="output directory (default from config, else cwd)")
-    common.add_argument("--units", choices=UNITS, default=None,
-                        help="unit system label recorded in outputs")
+    common.add_argument("--units", choices=UNITS, help="unit system label recorded in outputs")
     common.add_argument("--verbose", action="store_true")
     parser = argparse.ArgumentParser(
         prog="fieldcqed",
@@ -512,23 +489,23 @@ def main(argv=None) -> int:
         else:
             text = "{}"
         cfg = parse_config(text, default_mode=args.mode)
-        if cfg.mode != args.mode:
+        if cfg["mode"] != args.mode:
             raise ConfigError(
-                [f"$.mode: config says '{cfg.mode}' but subcommand is '{args.mode}'"])
+                [f"$.mode: config says '{cfg['mode']}' but subcommand is '{args.mode}'"])
         if args.units is not None:
-            cfg = replace(cfg, units=args.units)
-        out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
+            cfg["units"] = args.units
+        out_dir = Path(args.out if args.out is not None else cfg.get("out_dir", "."))
         existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
         if not existing.is_dir():
             raise ConfigError([f"output path {out_dir}: {existing} is not a directory"])
-        result = SUBCOMMANDS[cfg.mode].run(cfg, args.verbose)
+        result = SUBCOMMANDS[args.mode].run(cfg, args.verbose)
         _write_outputs(out_dir, cfg, result)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except FieldCqedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FieldCqedError, MemoryError) as exc:  # MemoryError: a run too large to hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except OSError as exc:  # a config or output path the system refuses
         print(f"config error: {exc}", file=sys.stderr)

@@ -128,7 +128,9 @@ def coupling_strength(ts: TransmonSolution, modes: ModeSet, cs: CouplingSpec,
                       i: int, j: int, l: int) -> float:
     """Charge coupling rate g_{ij,l} in rad/s: one entry of the coupling table."""
     modes._check_idx(l)
-    return float(mode_rates(modes, cs)[l] * charge_matrix_element(ts, i, j))
+    if not (0 <= i < ts.n_levels and 0 <= j < ts.n_levels):
+        raise IndexError(f"level indices ({i}, {j}) outside [0, {ts.n_levels})")
+    return float(coupling_table(ts, mode_rates(modes, cs), max(i, j) + 1)[i, j, l])
 
 
 def _product_diagonal(head, cutoffs, weights) -> np.ndarray:

@@ -338,6 +338,19 @@ def test_normal_modes_match_dense_quadrature_form(closure, completion, lam, n_mo
         assert np.max(np.abs(freqs**2 - dense)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("completion, advice", [
+    (False, "the boundary completion term is required"),
+    (True, "reduce the port bin width omega_max/n_bins (1.250e+16) or coupling_scale (1)"),
+])
+def test_indefinite_form_names_what_to_change(completion, advice):
+    # 8 bins up to 1e17 on the 20-mode cavity: the completion term is on in
+    # the second case, so only a finer grid or a weaker coupling helps
+    bath = port_continuum(cavity_modes_1d(make_partition(A), 20), omega_max=1e17, n_bins=8)
+    with pytest.raises(ModelError, match="not positive definite") as exc:
+        normal_mode_spectrum(bath, 1.0, completion)
+    assert str(exc.value).endswith(advice)
+
+
 @pytest.mark.parametrize("closure", [A, B])
 def test_normal_modes_match_extended_precision_oracle(closure):
     """The lowest five frequencies of a 50-dimensional form (the 20 cavity

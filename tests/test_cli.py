@@ -30,11 +30,13 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 
 class TestParseConfig:
-    def test_minimal_transmon_block(self):
+    def test_minimal_transmon_block(self, tmp_path):
         cfg = cli.parse_config(json.dumps(MINIMAL_TRANSMON))
-        assert cfg.mode == "transmon"
-        assert cfg.transmon["E_C"] == 0.3
-        assert cfg.units == "natural"
+        assert cfg["mode"] == "transmon"
+        assert cfg["transmon"]["E_C"] == 0.3
+        assert cli.main(["transmon", "--config", write_config(tmp_path, MINIMAL_TRANSMON),
+                         "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["units"] == "natural"
 
     def test_negative_ec_names_the_field(self):
         bad = {"mode": "transmon", "transmon": {"E_C": -0.3, "E_J": 15}}
@@ -99,11 +101,11 @@ class TestParseConfig:
         # only evolve needs a third point (test_bad_values_fail_as_config_errors)
         bath = {"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1.0},
                 "time_grid": {"t_max": 1.0, "n_points": 2}}
-        assert cli.parse_config(json.dumps(bath)).time_grid["n_points"] == 2
+        assert cli.parse_config(json.dumps(bath))["time_grid"]["n_points"] == 2
 
     def test_mode_injected_from_subcommand(self):
         cfg = cli.parse_config("{}", default_mode="check")
-        assert cfg.mode == "check"
+        assert cfg["mode"] == "check"
 
     def test_no_mode_and_no_default_is_one_problem(self):
         # the per-mode clauses require 'mode' in their 'if', so none of them fires
@@ -163,7 +165,7 @@ class TestParseConfig:
                          "bath": {"cavity_length": 1.0, "wave_speed": 1.0}}}[block]
         for member in kind:
             config = dict(base, **{block: dict(base[block], **{key: member.value})})
-            assert getattr(cli.parse_config(json.dumps(config)), block)[key] == member.value
+            assert cli.parse_config(json.dumps(config))[block][key] == member.value
         config = dict(base, **{block: dict(base[block], **{key: "other"})})
         with pytest.raises(ConfigError) as exc:
             cli.parse_config(json.dumps(config))
@@ -173,7 +175,7 @@ class TestParseConfig:
     def test_matched_cross_section_takes_its_gap_alone(self):
         cfg = cli.parse_config(json.dumps(
             {"mode": "modes", "line": MODES_LINE, "cross_section": {"d": 2e-6}}))
-        assert cfg.cross_section == {"d": 2e-6}
+        assert cfg["cross_section"] == {"d": 2e-6}
 
     def test_integer_literal_beyond_float_range_is_rejected(self):
         text = '{"mode": "transmon", "transmon": {"E_C": 0.3, "E_J": 1' + "0" * 400 + "}}"
@@ -370,6 +372,51 @@ class TestMainExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
 
+    def test_grid_encoding_no_port_under_the_pec_cavity_is_a_config_error(self, tmp_path,
+                                                                         capsys):
+        # only the closed-universe oracle reads pi c / delta_omega under this
+        # closure, so the grid that rounds it away is refused before the run
+        payload = {"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1.0,
+                                            "closure": "pec-cavity-pmc-port", "n_bins": 8,
+                                            "omega_max": 1e20}}
+        out = tmp_path / "out"
+        assert cli.main(["bath", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: $.bath.omega_max: omega_max/n_bins = 1.25e+19 encodes no port"
+            " beside cavity_length\n")
+        assert not out.exists()
+        payload["bath"]["omega_max"] = 1e17  # 1 + 2.5e-16 rounds up: the run goes through
+        assert cli.main(["bath", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("omega_max, n_bins", [(1e16, 200), (1e17, 8)])
+    def test_coarse_grid_under_the_completion_names_the_grid(self, tmp_path, capsys,
+                                                              omega_max, n_bins):
+        # the completion term is on, so asking for it would not help
+        payload = {"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1.0,
+                                            "n_bins": n_bins, "omega_max": omega_max}}
+        out = tmp_path / "out"
+        assert cli.main(["bath", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "omega_max/n_bins" in err and "completion term is required" not in err
+        assert not out.exists()
+
+    def test_run_too_large_for_memory_returns_three(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 4.66 TiB for an array with shape "
+                              "(800000000000,) and data type float64")
+        monkeypatch.setattr(cli.tq, "level_sweep", no_memory)
+        out = tmp_path / "out"
+        assert cli.main(["transmon", "--config", write_config(tmp_path, MINIMAL_TRANSMON),
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 4.66 TiB for an array with shape (800000000000,) "
+            "and data type float64\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode, payload, problem", [
         ("couple", {"transmon": {"E_C": 0.3, "E_J": 15}, "line": MODES_LINE,
                     "coupling": {"beta": 0.2, "z0": 0.02}},
@@ -424,6 +471,31 @@ class TestMainExitCodes:
         assert "PASS stub: always passes" in capsys.readouterr().out
         report = json.loads((tmp_path / "checks.json").read_text())
         assert report["all_passed"] is True
+
+
+def _fmt(x) -> str:
+    """The per-cell formatter the CSV writer used before its one row format."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+_CELLS = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.integers(-(2**53) + 1, 2**53 - 1),
+    st.integers(-(2**53) + 1, 2**53 - 1).map(np.int64))
+
+
+@given(rows=st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(_CELLS, min_size=n, max_size=n), max_size=6)))
+def test_row_format_prints_what_the_cell_formatter_did(tmp_path_factory, rows):
+    header = [f"c{k}" for k in range(len(rows[0]) if rows else 1)]
+    path = tmp_path_factory.mktemp("rows") / "t.csv"
+    cli._write_csv(path, header, rows)
+    expected = "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows)
+    assert path.read_bytes() == (",".join(header) + "\n" + expected).encode()
 
 
 class TestOutputs:
@@ -577,7 +649,7 @@ class TestOutputs:
         """The Ehrenfest residual taken from the run's own trajectory writes
         the same bytes as evolving a second time in ehrenfest_check."""
         cfg = cli.parse_config(json.dumps(self.EVOLVE))
-        p = cli._transmon_params(cfg.transmon)
+        p = cli._transmon_params(cfg["transmon"])
         s = tq.solve(p)
         psi0 = dyn.StateVector.from_amplitudes(np.sum(s.eigvecs[:, [0, 1, 2]], axis=1))
         t = np.linspace(0.0, 1.0, 2001)
@@ -588,11 +660,10 @@ class TestOutputs:
         ref = tmp_path / "ref"
         ref.mkdir()
         cols = ["time", "norm", "energy", "n_expect", "sin_phi_expect"]
-        cli._write_csv(ref / "evolution.csv", cols, zip(t, *(traj.series[c] for c in cols[1:])))
-        cli._summary(ref, cfg, ["evolution.csv"], {
+        cli._write_outputs(ref, cfg, cli.RunResult({
             "ehrenfest_residual": float(dyn.ehrenfest_check(p, psi0, t)),
             "norm_drift": float(np.max(np.abs(traj.series["norm"] - 1.0))),
-        })
+        }, {"evolution.csv": (cols, zip(t, *(traj.series[c] for c in cols[1:])))}))
         out = tmp_path / "out"
         assert cli.main(["evolve", "--config", write_config(tmp_path, self.EVOLVE),
                          "--out", str(out)]) == 0
@@ -692,6 +763,5 @@ class TestConfigFuzz:
             assert exc.problems
             assert all(isinstance(p, str) and "\n" not in p for p in exc.problems)
         else:
-            assert isinstance(cfg, cli.RunConfig)
-            assert all(getattr(cfg, block) is not None
-                       for block in cli.SUBCOMMANDS[cfg.mode].blocks)
+            assert isinstance(cfg, dict)
+            assert all(block in cfg for block in cli.SUBCOMMANDS[cfg["mode"]].blocks)

@@ -521,6 +521,25 @@ class TestRateFactorisation:
                 with pytest.raises(NumericError, match="coupling rate is not finite"):
                     call()
 
+    def test_overflowing_entry_is_a_numeric_error(self):
+        # finite rate 1.7e308 times |<0|n|1>| 1.1: this used to return -inf
+        # with only a RuntimeWarning
+        ts = solve(TransmonParams(EC=0.3, EJ=15.0))
+        line = LineParams(L_pul=4e-7, C_pul=1.6e-10, length=0.0125)
+        modes = mode_operator_coeffs(compute_modes(line, 1), matched_cross_section(line))
+        cs = CouplingSpec(1.0, 0.0, path_gain=4.3e298)
+        assert np.isfinite(mode_rates(modes, cs)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="coupling table is not finite"):
+                coupling_strength(ts, modes, cs, 0, 1, 0)
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (0, 41), (41, 1)])
+    def test_single_rate_checks_the_level_indices(self, i, j):
+        ts, _, _, modes = make_system(n_modes=1)
+        with pytest.raises(IndexError):
+            coupling_strength(ts, modes, CouplingSpec(1.0, 0.0), i, j, 0)
+
 
 class TestTableAndAssemblyGuards:
     @pytest.mark.parametrize("route", ["full", "nn", "field"])
