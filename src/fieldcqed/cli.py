@@ -85,6 +85,20 @@ def _write_outputs(out_dir: Path, cfg: dict, result: RunResult):
         raise
 
 
+# defaults of the blocks that both a runner and a config rule read; the
+# transmon and coupling blocks keep theirs in _transmon_params and _coupling_spec
+_DEFAULTS = {
+    "line": {"boundary": "open-open", "convention": "integral", "n_modes": 1},
+    "bath": {"closure": "pmc-cavity-pec-port", "n_cavity_modes": 20, "n_bins": 200,
+             "coupling_scale": 1.0, "cavity_mode_index": 0, "boundary_completion": True},
+}
+
+
+def _block(cfg: dict, name: str) -> dict:
+    """Config block ``name`` with its ``_DEFAULTS`` filled in."""
+    return {**_DEFAULTS[name], **cfg[name]}
+
+
 def _transmon_params(block: dict) -> tq.TransmonParams:
     return tq.TransmonParams(EC=block["E_C"], EJ=block["E_J"],
                              ng=block.get("n_g", 0.0),
@@ -93,15 +107,15 @@ def _transmon_params(block: dict) -> tq.TransmonParams:
 
 
 def _mode_set(cfg: dict):
-    block, xs = cfg["line"], cfg.get("cross_section", {})
+    block, xs = _block(cfg, "line"), cfg.get("cross_section", {})
     line = tx.LineParams(block["L_pul"], block["C_pul"], block["length"],
-                         tx.BoundaryCondition(block.get("boundary", "open-open")))
+                         tx.BoundaryCondition(block["boundary"]))
     if "w" in xs:  # the schema makes w require d
         xsec = tx.tem_cross_section(xs["w"], xs["d"], xs.get("eps_r", 1.0))
     else:
         xsec = tx.matched_cross_section(line, d=xs.get("d", 5e-6))
-    conv = tx.LongitudinalNorm(block.get("convention", "integral"))
-    modes = tx.compute_modes(line, block.get("n_modes", 1), conv)
+    conv = tx.LongitudinalNorm(block["convention"])
+    modes = tx.compute_modes(line, block["n_modes"], conv)
     return tx.mode_operator_coeffs(modes, xsec)
 
 
@@ -180,12 +194,13 @@ def run_evolve(cfg: dict, verbose: bool) -> RunResult:
 
 
 def _port_grid(b: dict) -> tuple:
-    """The partition and port grid ``(omega_max, n_bins)`` of a bath block."""
+    """The partition and port grid ``(omega_max, n_bins)`` of a bath block
+    with its defaults filled in (:func:`_block`)."""
     part = bath_mod.RegionPartition(
         cavity_length=b["cavity_length"], wave_speed=b["wave_speed"],
-        interface_bc=bath_mod.InterfaceClosure(b.get("closure", "pmc-cavity-pec-port")),
+        interface_bc=bath_mod.InterfaceClosure(b["closure"]),
         oracle_total_length=b.get("total_length"))
-    n_bins = b.get("n_bins", 200)
+    n_bins = b["n_bins"]
     return part, b.get("omega_max", n_bins * np.pi * part.wave_speed / part.port_length), n_bins
 
 
@@ -198,12 +213,12 @@ def _encoded_universe(part: bath_mod.RegionPartition, delta: float):
 
 
 def run_bath(cfg: dict, verbose: bool) -> RunResult:
-    b = cfg["bath"]
+    b = _block(cfg, "bath")
     part, omega_max, n_bins = _port_grid(b)
-    cavity = bath_mod.cavity_modes_1d(part, b.get("n_cavity_modes", 20))
+    cavity = bath_mod.cavity_modes_1d(part, b["n_cavity_modes"])
     disc = bath_mod.port_continuum(cavity, omega_max, n_bins)
-    lam = b.get("coupling_scale", 1.0)
-    completion = b.get("boundary_completion", True)
+    lam = b["coupling_scale"]
+    completion = b["boundary_completion"]
     freqs = bath_mod.normal_mode_spectrum(disc, lam, completion)
     n_report = min(10, freqs.size)
     exact = bath_mod.global_mode_frequencies(_encoded_universe(part, disc.delta_omega), n_report)
@@ -214,8 +229,7 @@ def run_bath(cfg: dict, verbose: bool) -> RunResult:
         max(abs(freqs[i] - exact[i]) / exact[i] for i in range(min(5, n_report))))}
     if "time_grid" in cfg:
         t = np.linspace(0.0, cfg["time_grid"]["t_max"], cfg["time_grid"].get("n_points", 601))
-        traj = bath_mod.decay_simulation(disc, b.get("cavity_mode_index", 0), t,
-                                         lam, completion)
+        traj = bath_mod.decay_simulation(disc, b["cavity_mode_index"], t, lam, completion)
         tables["bath_decay.csv"] = (["time", "cavity_population", "norm"],
                                     zip(t, traj.series["cavity_population"], traj.series["norm"]))
         for key in ("kappa_fit", "kappa_golden_rule", "recurrence_time"):
@@ -399,7 +413,7 @@ def _cross_field_problems(data: dict) -> list:
     mode = data["mode"]
     problems = []
     if mode == "couple":
-        n_modes = data["line"].get("n_modes", 1)
+        n_modes = _block(data, "line")["n_modes"]
         cutoffs = data["coupling"].get("fock_cutoffs")
         if cutoffs is not None and len(cutoffs) != n_modes:
             problems.append(f"$.coupling.fock_cutoffs: expected {n_modes} entries "
@@ -408,13 +422,15 @@ def _cross_field_problems(data: dict) -> list:
             problems.append("$.coupling.z0: coupling position lies beyond the line length")
     if mode in ("transmon", "couple", "evolve"):
         dim = _transmon_params(data["transmon"]).dim
-        if data["transmon"].get("n_levels", 2) > dim:
+        # an omitted n_levels is the runner's default, which it clips to dim
+        n_levels = data["transmon"].get("n_levels")
+        if n_levels is not None and n_levels > dim:
             problems.append(f"$.transmon.n_levels: more levels than the charge basis holds ({dim})")
         for lvl in data.get("initial_levels", ()):
             if lvl >= dim:
                 problems.append(f"$.initial_levels: level {lvl} outside the charge basis ({dim})")
     if mode == "bath":
-        b = data["bath"]
+        b = _block(data, "bath")
         if "total_length" in b and b["total_length"] <= b["cavity_length"]:
             problems.append("$.bath.total_length: must exceed cavity_length")
         else:  # the PMC cavity's completion term reads the encoded length: a model error there
@@ -425,7 +441,7 @@ def _cross_field_problems(data: dict) -> list:
                     _encoded_universe(part, delta)
                 except ModelError as exc:
                     problems.append(f"$.bath.omega_max: {exc}")
-        if b.get("cavity_mode_index", 0) >= b.get("n_cavity_modes", 20):
+        if b["cavity_mode_index"] >= b["n_cavity_modes"]:
             problems.append("$.bath.cavity_mode_index: outside the cavity mode range")
     return problems
 

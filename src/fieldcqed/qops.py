@@ -193,7 +193,9 @@ def spectrum(h: Operator) -> Spectrum:
 
 
 _EPS = np.finfo(float).eps
-_BLOCK = 1 << 16  # elements of one row block in the secular kernels (512 kB)
+# elements of one block (512 kB): a row block of the secular kernels, and a
+# block of dynamics.classical_trajectory's energy pass
+_BLOCK = 1 << 16
 _MAX_SECULAR_ITERATIONS = 64
 
 

@@ -172,6 +172,57 @@ class TestParseConfig:
         allowed = [member.value for member in kind]
         assert exc.value.problems == [f"$.{block}.{key}: 'other' is not one of {allowed}"]
 
+    # each rule that reads a default, at the boundary with the defaulted key omitted:
+    # n_modes 1, n_cavity_modes 20 and cavity_mode_index 0; an omitted n_levels
+    # takes the runner's default clipped to the basis (dim 3 at n_cutoff 1)
+    BOUNDARY_TRANSMON = {"E_C": 0.3, "E_J": 15, "n_cutoff": 1}
+
+    @pytest.mark.parametrize("config, problem", [
+        ({"mode": "couple", "transmon": BOUNDARY_TRANSMON, "line": MODES_LINE,
+          "coupling": {"beta": 0.2, "fock_cutoffs": [4]}}, None),
+        ({"mode": "couple", "transmon": BOUNDARY_TRANSMON, "line": MODES_LINE,
+          "coupling": {"beta": 0.2, "fock_cutoffs": [4, 4]}},
+         "$.coupling.fock_cutoffs: expected 1 entries (one per line mode), got 2"),
+        ({"mode": "transmon", "transmon": BOUNDARY_TRANSMON}, None),
+        ({"mode": "evolve", "transmon": BOUNDARY_TRANSMON, "time_grid": {"t_max": 1.0}}, None),
+        ({"mode": "transmon", "transmon": {**BOUNDARY_TRANSMON, "n_levels": 3}}, None),
+        ({"mode": "transmon", "transmon": {**BOUNDARY_TRANSMON, "n_levels": 4}},
+         "$.transmon.n_levels: more levels than the charge basis holds (3)"),
+        ({"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1.0,
+                                   "cavity_mode_index": 19}}, None),
+        ({"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1.0,
+                                   "cavity_mode_index": 20}},
+         "$.bath.cavity_mode_index: outside the cavity mode range"),
+        ({"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1.0,
+                                   "n_cavity_modes": 1}}, None),
+    ])
+    def test_rules_at_their_boundary_with_the_default_taken(self, config, problem):
+        if problem is None:
+            assert cli.parse_config(json.dumps(config)) == config
+        else:
+            with pytest.raises(ConfigError) as exc:
+                cli.parse_config(json.dumps(config))
+            assert exc.value.problems == [problem]
+
+    def test_rule_and_runner_read_one_default(self, monkeypatch):
+        monkeypatch.setitem(cli._DEFAULTS["bath"], "n_cavity_modes", 4)
+        config = {"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1.0,
+                                           "n_bins": 8, "cavity_mode_index": 4}}
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config(json.dumps(config))
+        assert exc.value.problems == ["$.bath.cavity_mode_index: outside the cavity mode range"]
+
+        class Built(Exception):
+            pass
+
+        def port_continuum(cavity, *args):
+            raise Built(cavity.n_modes)  # stop the runner once it has built the cavity
+
+        monkeypatch.setattr(cli.bath_mod, "port_continuum", port_continuum)
+        with pytest.raises(Built) as built:
+            cli.run_bath(config, False)
+        assert built.value.args == (4,)
+
     def test_matched_cross_section_takes_its_gap_alone(self):
         cfg = cli.parse_config(json.dumps(
             {"mode": "modes", "line": MODES_LINE, "cross_section": {"d": 2e-6}}))

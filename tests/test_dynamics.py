@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh
@@ -25,7 +25,7 @@ from fieldcqed.dynamics import (
     first_return_period,
 )
 from fieldcqed.errors import ContractViolationError, DimensionMismatchError, StepSizeError
-from fieldcqed.qops import Operator, StateVector, annihilation_op, spectrum
+from fieldcqed.qops import _BLOCK, Operator, StateVector, annihilation_op, spectrum
 from fieldcqed.transmon import TransmonParams, sin_phi_op, solve
 from fieldcqed.txline import (
     LineParams,
@@ -78,7 +78,44 @@ class TestTrajectory:
             dynamics.time_grid(t)
 
 
-# a NaN passes the ascending test (np.diff gives NaN, and NaN <= 0 is False)
+_TINY = 5e-324  # the smallest subnormal
+
+
+@given(points=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.sampled_from([0.0, -0.0, _TINY, -_TINY, 1e308, -1e308])),
+                       min_size=2, max_size=8),
+       ascending=st.booleans())
+@example(points=[-1e308, 1e308], ascending=False)  # the spacing overflows to inf
+@example(points=[0.0, _TINY, 2 * _TINY], ascending=False)
+@example(points=[1.0, 1.0], ascending=False)
+@example(points=[0.0, -0.0], ascending=False)
+def test_ascending_test_agrees_with_the_spacing_sign(points, ascending):
+    """On finite grids, ``t[1:] <= t[:-1]`` rejects what ``np.diff(t) <= 0`` does."""
+    t = np.array(sorted(points) if ascending else points)
+    with np.errstate(over="ignore"):
+        rejected = bool(np.any(np.diff(t) <= 0))
+    if rejected:
+        with pytest.raises(ContractViolationError) as exc:
+            dynamics.time_grid(t)
+        assert str(exc.value) == "time grid must be strictly ascending"
+    else:
+        assert np.array_equal(dynamics.time_grid(t), t)
+
+
+@given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
+       which=st.sampled_from(["max", "min", "first", "other"]),
+       other=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=[-0.0], which="other", other=0.0)
+@example(x=[1e308, -1e308], which="first", other=0.0)
+def test_max_deviation_is_the_abs_envelope(x, which, other):
+    x = np.array(x)
+    x0 = {"max": x.max(), "min": x.min(), "first": x[0], "other": other}[which]
+    with np.errstate(over="ignore"):
+        envelope = float(np.max(np.abs(x - x0)))
+        assert repr(dynamics.max_deviation(x, x0)) == repr(envelope)
+
+
+# a NaN passes the ascending test (t[k+1] <= t[k] is False next to a NaN)
 NONFINITE_GRIDS = [np.array([0.0, 0.5, np.nan, 1.5]), np.array([0.0, 0.5, 1.0, np.inf])]
 
 
@@ -246,6 +283,18 @@ class TestClassicalTrajectory:
         assert np.array_equal(traj.series["n"], n)
         scale = traj.metadata["energy_scale"]
         assert np.max(np.abs(traj.series["energy"] - energy)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("size", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
+                                      1_000_001])
+    def test_energy_is_the_whole_array_expression(self, size):
+        p = TransmonParams(EC=0.3, EJ=15.0, ng=0.37)
+        s0 = ClassicalState(phi=0.3, n=0.1)
+        traj = classical_trajectory(p, s0, np.linspace(0.0, 2e-3 * (size - 1), size))
+        phi, n, energy = (traj.series[k] for k in ("phi", "n", "energy"))
+        whole = 4.0 * p.EC * (n[1:] - p.ng) ** 2 - p.EJ * np.cos(phi[1:])
+        assert energy[0] == 4.0 * p.EC * (s0.n - p.ng) ** 2 - p.EJ * math.cos(s0.phi)
+        assert energy[1:].tobytes() == whole.tobytes()
+        assert traj.metadata["max_energy_error"] == np.max(np.abs(energy - energy[0]))
 
     def test_divergence_raises_like_the_reference(self):
         p = TransmonParams(EC=1.0, EJ=1e200)

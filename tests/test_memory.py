@@ -1,0 +1,88 @@
+"""Memory contracts of the classical leapfrog and of the ``check`` run that
+holds its 10^6-step trajectory."""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+import weakref
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fieldcqed
+from fieldcqed import checks
+from fieldcqed import dynamics as dyn
+from fieldcqed.qops import _BLOCK
+from fieldcqed.transmon import TransmonParams
+
+_STATUS = Path("/proc/self/status")
+
+
+def _has_vmhwm() -> bool:
+    try:
+        return "VmHWM:" in _STATUS.read_text(encoding="ascii")
+    except OSError:
+        return False
+
+
+def test_leapfrog_peak_is_its_outputs_and_one_block():
+    # tracemalloc slows the interpreted loop about 8x, so 1e5 steps
+    p = TransmonParams(EC=1.0, EJ=100.0)
+    period = 2 * np.pi / np.sqrt(8 * p.EC * p.EJ)
+    t = np.linspace(0.0, 1000 * period, 100_001)
+    tracemalloc.start()
+    try:
+        traj = dyn.classical_trajectory(p, dyn.ClassicalState(phi=1.0, n=0.0), t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.series["energy"].nbytes == t.nbytes
+    # phi, n and energy, the spacing _uniform_dt averages, and one energy block
+    assert peak <= 4 * t.nbytes + _BLOCK * 8
+
+
+def test_long_leapfrog_is_freed_before_the_ehrenfest_runs(monkeypatch):
+    energies = {}
+    alive = []
+    leapfrog = dyn.classical_trajectory
+
+    def recording_leapfrog(p, s0, t_grid):
+        traj = leapfrog(p, s0, t_grid)
+        energies[traj.times.size] = weakref.ref(traj.series["energy"])
+        return traj
+
+    def ehrenfest_check(p, psi0, t_grid):
+        alive.append(energies[1_000_001]() is not None)
+        return 1e-9  # the residual plays no part here
+
+    monkeypatch.setattr(dyn, "classical_trajectory", recording_leapfrog)
+    monkeypatch.setattr(dyn, "ehrenfest_check", ehrenfest_check)
+    checks.equations_of_motion_suite()
+    assert alive == [False, False]
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
+def test_check_run_peak_above_the_imported_package(tmp_path):
+    # VmHWM (peak resident memory) minus VmRSS right after the import
+    script = "\n".join([
+        "import sys",
+        "from pathlib import Path",
+        "def status(key):",
+        "    for line in Path('/proc/self/status').read_text().splitlines():",
+        "        if line.startswith(key + ':'):",
+        "            return int(line.split()[1])",
+        "import fieldcqed.cli",
+        "base = status('VmRSS')",
+        "rc = fieldcqed.cli.main(['check', '--out', sys.argv[1]])",
+        "print(rc, (status('VmHWM') - base) / 1024)",
+    ])
+    src = str(Path(fieldcqed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    rc, growth_mb = proc.stdout.splitlines()[-1].split()
+    assert rc == "0", proc.stdout + proc.stderr
+    assert float(growth_mb) < 50.0
