@@ -55,11 +55,9 @@ from .transmon import (
     charge_dispersion,
     charge_matrix_element,
     charge_number_op,
-    cos_phi_op,
     level_sweep,
     sin_phi_op,
     solve,
-    transition_dispersion,
 )
 from .txline import (
     BoundaryCondition,

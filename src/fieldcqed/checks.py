@@ -125,8 +125,10 @@ def coupled_dynamics_suite():
     g = abs(built.g_table[0, 1, 0])
     period_rwa = np.pi / g
     t = np.linspace(0.0, 1.3 * period_rwa, 10001)
-    traj = dyn.evolve(built, built.basis_state(1, (0,)), t)
-    period = dyn.first_return_period(t, traj.series["pop_1_0"])
+    psi0 = built.basis_state(1, (0,))
+    # population of |1, 0>: the diagonal projector on psi0
+    traj = dyn.evolve(built, psi0, t, {"excited": dyn.Operator(np.diag(psi0.amps.real))})
+    period = dyn.first_return_period(t, traj.series["excited"])
     norm_drift = float(np.max(np.abs(traj.series["norm"] - 1.0)))
     results = [
         _under("vacuum exchange period", abs(period - period_rwa) / period_rwa, 5e-4,

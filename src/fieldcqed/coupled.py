@@ -68,11 +68,6 @@ class CoupledHamiltonian:
     def dim(self) -> int:
         return self.matrix.dim
 
-    def basis_labels(self):
-        """(level, photons...) of each basis vector, in matrix order."""
-        m, cutoffs = self.basis
-        return [(j,) + ns for j in range(m) for ns in np.ndindex(*cutoffs)]
-
     def basis_state(self, j: int, ns) -> StateVector:
         m, cutoffs = self.basis
         ns = tuple(ns)

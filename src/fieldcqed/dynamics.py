@@ -25,9 +25,6 @@ from .transmon import (
     sin_phi_op,
 )
 
-# populations per basis label are recorded automatically up to this dimension
-_POPULATION_DIM_LIMIT = 64
-
 
 def time_grid(t_grid) -> np.ndarray:
     """``t_grid`` as a float array: 1D, at least 2 points, finite and strictly
@@ -86,11 +83,12 @@ def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory
     Uses one eigendecomposition (:func:`fieldcqed.qops.spectrum`, the
     real-symmetric solver when ``h`` is real), so every sample is the exact
     propagator applied to the initial state: refining the grid never
-    changes values at shared times.  Records norm, energy and (up to dim 64)
-    populations ``pop_<label>`` per ``h.basis_labels()``, or ``pop_<i>`` when
-    ``h`` has none, plus expectations of any extra ``observables``.  Each
+    changes values at shared times.  Records ``norm``, ``energy`` and the
+    expectation of each of ``observables`` under its own name, nothing
+    else; a population is a diagonal projector observable.  Each
     expectation series is one matrix product of the operator with all
-    sampled states plus a column dot product.
+    sampled states plus a column dot product (a row scaling when the
+    operator is diagonal).
     """
     t = time_grid(t_grid)
     op_h = _as_operator(h)
@@ -98,6 +96,8 @@ def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory
         raise DimensionMismatchError(f"H dim {op_h.dim} does not match state dim {psi0.dim}")
     observables = {name: _as_operator(op) for name, op in (observables or {}).items()}
     for name, op in observables.items():
+        if name in ("norm", "energy"):
+            raise ContractViolationError(f"observable {name!r} would overwrite evolve's own series")
         if op.dim != psi0.dim:
             raise DimensionMismatchError(f"observable {name!r} dimension mismatch")
 
@@ -110,12 +110,6 @@ def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory
         "norm": np.linalg.norm(states, axis=0),
         "energy": expectation_series(op_h.mat, states),
     }
-    if psi0.dim <= _POPULATION_DIM_LIMIT:
-        basis_labels = getattr(h, "basis_labels", None)
-        labels = basis_labels() if basis_labels else [(i,) for i in range(psi0.dim)]
-        for idx, label in enumerate(labels):
-            key = "pop_" + "_".join(str(x) for x in label)
-            series[key] = np.abs(states[idx, :]) ** 2
     for name, op in observables.items():
         series[name] = expectation_series(op.mat, states)
     return Trajectory(times=t, series=series)
@@ -124,7 +118,7 @@ def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory
 def _uniform_dt(t: np.ndarray) -> float:
     dt = np.diff(t)
     if abs(dt.max() - dt.min()) > 1e-9 * dt.mean():
-        raise ContractViolationError("classical integration needs a uniform time grid")
+        raise ContractViolationError("the time grid must be uniformly spaced")
     return float(dt.mean())
 
 
@@ -235,7 +229,7 @@ def ehrenfest_residual(p: TransmonParams, times, n_expect, sin_phi) -> float:
     if dt * spread > 0.5:
         warnings.warn(
             "t_grid too coarse for the finite-difference derivative; "
-            f"dt * spectral_spread = {dt * spread:.2f}", stacklevel=2)
+            f"dt * spectral_spread = {dt * spread:.3g}", stacklevel=2)
     n_t = np.asarray(n_expect)
     rhs = -p.EJ * np.asarray(sin_phi)
     lhs = (n_t[2:] - n_t[:-2]) / (2.0 * dt)

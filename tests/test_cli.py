@@ -410,6 +410,37 @@ class TestMainExitCodes:
         assert err.startswith("error: coupling table is not finite")
         assert not out.exists()
 
+    def test_overflowing_residual_norm_returns_three_on_one_line(self, tmp_path, capsys):
+        # numpy's overflow warning and its source line used to come first
+        payload = {"mode": "transmon", "transmon": {"E_C": 1e300, "E_J": 1e300}}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["transmon", "--config", write_config(tmp_path, payload),
+                             "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: eigenpair residual inf exceeds")
+        assert not out.exists()
+
+    def test_subnormal_time_grid_is_not_uniform(self, tmp_path, capsys):
+        # the message used to blame "classical integration", which evolve never runs
+        payload = {"mode": "evolve", "transmon": {"E_C": 0.3, "E_J": 15},
+                   "time_grid": {"t_max": 1e-320, "n_points": 11}}
+        out = tmp_path / "out"
+        assert cli.main(["evolve", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: the time grid must be uniformly spaced\n"
+        assert not out.exists()
+
+    def test_coarse_evolve_grid_warns_in_three_digits(self, tmp_path):
+        # dt * spectral_spread was printed with .2f: about 300 digits here
+        payload = {"mode": "evolve", "transmon": {"E_C": 0.3, "E_J": 15, "n_cutoff": 1},
+                   "time_grid": {"t_max": 1e300, "n_points": 5}}
+        with pytest.warns(UserWarning, match=r"spectral_spread = \d\.\d\de\+300$"):
+            assert cli.main(["evolve", "--config", write_config(tmp_path, payload),
+                             "--out", str(tmp_path / "out")]) == 0
+
     def test_grid_too_coarse_for_its_encoded_universe_returns_three(self, tmp_path, capsys):
         # pi c / delta_omega vanishes beside cavity_length, so the closed
         # universe the grid encodes has no port; no table is written for it

@@ -11,7 +11,6 @@ from scipy.linalg import eigh
 from fieldcqed import dynamics
 from fieldcqed.coupled import (
     CouplingSpec,
-    build_full_hamiltonian,
     build_nn_hamiltonian,
     coupling_strength,
 )
@@ -42,6 +41,12 @@ def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return Operator((m + m.conj().T) / 2)
+
+
+def projector(psi):
+    """The diagonal projector on the basis state ``psi``: its population
+    as an ``evolve`` observable."""
+    return Operator(np.diag(np.abs(psi.amps) ** 2))
 
 
 def reference_evolve(h_mat, psi0, t, observables):
@@ -123,7 +128,9 @@ class TestEvolve:
     def test_eigenstate_populations_constant(self):
         h = Operator(np.diag([0.0, 1.3, 2.9]))
         psi0 = StateVector.basis_state(3, 1)
-        traj = evolve(h, psi0, np.linspace(0, 10, 101))
+        traj = evolve(h, psi0, np.linspace(0, 10, 101),
+                      {"pop_0": projector(StateVector.basis_state(3, 0)),
+                       "pop_1": projector(psi0)})
         assert np.max(np.abs(traj.series["pop_1"] - 1.0)) < 1e-10
         assert np.max(np.abs(traj.series["pop_0"])) < 1e-10
 
@@ -139,8 +146,8 @@ class TestEvolve:
     def test_grid_refinement_invariance(self):
         h = random_hermitian(12, 7)
         psi0 = StateVector.basis_state(12, 0)
-        coarse = evolve(h, psi0, np.linspace(0, 4, 21))
-        fine = evolve(h, psi0, np.linspace(0, 4, 41))
+        coarse = evolve(h, psi0, np.linspace(0, 4, 21), {"pop_0": projector(psi0)})
+        fine = evolve(h, psi0, np.linspace(0, 4, 41), {"pop_0": projector(psi0)})
         assert np.allclose(coarse.series["pop_0"], fine.series["pop_0"][::2], atol=1e-12)
 
     def test_time_reversal(self):
@@ -167,7 +174,8 @@ class TestEvolve:
         psi0 = built.basis_state(1, (0,))
         period_rwa = np.pi / g
         t = np.linspace(0.0, 1.3 * period_rwa, 4001)
-        traj = evolve(built, psi0, t)
+        traj = evolve(built, psi0, t, {"pop_1_0": projector(psi0),
+                                       "pop_0_1": projector(built.basis_state(0, (1,)))})
         period = first_return_period(t, traj.series["pop_1_0"])
         # counter-rotating terms shift the period at order (g/omega)^2 = 1e-4
         assert abs(period - period_rwa) / period_rwa < 5e-4
@@ -214,28 +222,23 @@ class TestEvolve:
         with pytest.raises(DimensionMismatchError, match="observable 'x' dimension mismatch"):
             evolve(h, StateVector.basis_state(3, 0), t, {"x": Operator(np.eye(2))})
 
-    def test_population_keys_name_the_coupled_basis(self):
-        ts = solve(TransmonParams(EC=0.3 * GHZ, EJ=15.0 * GHZ))
-        line = LineParams(4.0e-7, 1.6e-10, np.pi * 1.25e8 / ts.transition(0, 1))
-        modes = mode_operator_coeffs(compute_modes(line, 2), matched_cross_section(line))
-        built = build_full_hamiltonian(ts, modes, CouplingSpec(0.01, 0.0), 2, (2, 3))
-        t = np.linspace(0.0, 1e-9, 11)
-        psi0 = built.basis_state(1, (0, 0))
-        runs = [evolve(built, psi0, t), evolve(built, StateVector(psi0.amps), t)]
-        expected = ["pop_%d_%d_%d" % (j, n1, n2)
-                    for j in range(2) for n1 in range(2) for n2 in range(3)]
-        for traj in runs:
-            assert [k for k in traj.series if k.startswith("pop_")] == expected
-        for key in expected:
-            assert np.array_equal(runs[0].series[key], runs[1].series[key])
-        assert runs[0].series["pop_1_0_0"][0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_population_keys_of_a_plain_operator(self):
+    @pytest.mark.parametrize("dim", [3, 64, 65])
+    def test_records_exactly_norm_energy_and_the_observables(self, dim):
+        # up to dim 64 evolve used to add a pop_<i> series per basis vector
+        h, psi0 = random_hermitian(dim, 1), StateVector.basis_state(dim, 0)
         t = np.linspace(0.0, 1.0, 5)
-        traj = evolve(random_hermitian(3, 1), StateVector.basis_state(3, 0), t)
-        assert [k for k in traj.series if k.startswith("pop_")] == ["pop_0", "pop_1", "pop_2"]
-        traj = evolve(random_hermitian(65, 1), StateVector.basis_state(65, 0), t)
-        assert sorted(traj.series) == ["energy", "norm"]
+        assert sorted(evolve(h, psi0, t).series) == ["energy", "norm"]
+        traj = evolve(h, psi0, t, {"pop_0": projector(psi0)})
+        assert sorted(traj.series) == ["energy", "norm", "pop_0"]
+        assert traj.series["pop_0"][0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["norm", "energy"])
+    def test_observable_may_not_take_its_own_series_name(self, name):
+        # {"norm": 5 I} used to replace the norm series by 5.0
+        h = Operator(np.diag([0.0, 1.0, 2.0]))
+        with pytest.raises(ContractViolationError, match=f"observable '{name}'"):
+            evolve(h, StateVector.basis_state(3, 0), np.linspace(0.0, 1.0, 5),
+                   {name: Operator(5.0 * np.eye(3))})
 
     @pytest.mark.parametrize("t", NONFINITE_GRIDS)
     def test_nonfinite_grid_fails_before_any_work(self, monkeypatch, t):

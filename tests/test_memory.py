@@ -1,5 +1,5 @@
-"""Memory contracts of the classical leapfrog and of the ``check`` run that
-holds its 10^6-step trajectory."""
+"""Memory contracts of the classical leapfrog, of the Ehrenfest check and
+of the ``check`` run that holds the leapfrog's 10^6-step trajectory."""
 
 import os
 import subprocess
@@ -15,7 +15,7 @@ import fieldcqed
 from fieldcqed import checks
 from fieldcqed import dynamics as dyn
 from fieldcqed.qops import _BLOCK
-from fieldcqed.transmon import TransmonParams
+from fieldcqed.transmon import TransmonParams, solve
 
 _STATUS = Path("/proc/self/status")
 
@@ -61,6 +61,23 @@ def test_long_leapfrog_is_freed_before_the_ehrenfest_runs(monkeypatch):
     monkeypatch.setattr(dyn, "ehrenfest_check", ehrenfest_check)
     checks.equations_of_motion_suite()
     assert alive == [False, False]
+
+
+def test_ehrenfest_check_holds_no_unread_series():
+    # the 16001-sample run of check: 41 x 16001 complex states (10.0 MiB),
+    # the observable products and four series; recording a population per
+    # charge state besides, as evolve once did, peaked at 25.8 MiB
+    p = TransmonParams(EC=0.3, EJ=15.0, n_cutoff=20)
+    s = solve(p)
+    psi0 = dyn.StateVector.from_amplitudes(s.eigvecs[:, 0] + 1j * s.eigvecs[:, 1])
+    t = np.linspace(0.0, 2.0, 16001)
+    tracemalloc.start()
+    try:
+        dyn.ehrenfest_check(p, psi0, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 23 * 2**20
 
 
 @pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")

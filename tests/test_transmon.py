@@ -18,11 +18,9 @@ from fieldcqed.transmon import (
     charge_dispersion,
     charge_matrix_element,
     charge_number_op,
-    cos_phi_op,
     level_sweep,
     sin_phi_op,
     solve,
-    transition_dispersion,
 )
 
 
@@ -326,34 +324,26 @@ class TestDispersion:
         w01 = solve(p).transition(0, 1)
         assert d / w01 < 1e-5
 
-    def test_transition_dispersion_smaller_than_levels(self):
-        p = TransmonParams(0.3, 15.0)
-        dt = transition_dispersion(p, 0, 1)
-        w01 = solve(p).transition(0, 1)
-        assert dt / w01 < 1e-5
-        assert dt >= 0.0
-
-    def test_transition_dispersion_solves_each_grid_point_once(self, monkeypatch):
+    def test_solves_each_grid_point_once(self, monkeypatch):
         # grids of 21, 41, 81, ... points, each holding the one before; one
-        # solve per distinct point serves both levels and every refinement.
-        # Each point is one diagonal row through the shared tridiagonal
-        # kernel, and distinct n_g give distinct rows.
+        # solve per distinct point serves every refinement.  Each point is
+        # one diagonal row through the shared tridiagonal kernel, and
+        # distinct n_g give distinct rows.
         rows = []
         real = transmon.tridiagonal_spectrum
         monkeypatch.setattr(transmon, "tridiagonal_spectrum",
                             lambda diag, off: rows.extend(map(tuple, diag)) or real(diag, off))
         p = TransmonParams(1.0, 5.0)
-        assert transition_dispersion(p, 0, 1) > 0.0
+        assert charge_dispersion(p, level=1) > 0.0
         assert len(rows) in (41, 81, 161, 321)
         assert len(set(rows)) == len(rows)
 
-    @pytest.mark.parametrize("i, j", [(0, -1), (0, 99), (-1, 1), (11, 0)])
-    def test_transition_dispersion_rejects_levels_outside_the_basis(self, i, j):
-        # (0, -1) used to return the top level's dispersion, 12.54, and
-        # (0, 99) a bare IndexError from inside the sweep
+    @pytest.mark.parametrize("level", [-1, 11, 99])
+    def test_rejects_levels_outside_the_basis(self, level):
+        # -1 would read the top level's dispersion, 99 fail inside the sweep
         p = TransmonParams(0.3, 15.0, n_cutoff=5)
         with pytest.raises(IndexError, match=r"outside \[0, 11\)"):
-            transition_dispersion(p, i, j)
+            charge_dispersion(p, level)
 
     @pytest.mark.parametrize("ratio", [0.0, 1.0, 5.0, 50.0])
     def test_refinement_matches_full_grid_solves(self, ratio):
@@ -397,6 +387,14 @@ class TestAnharmonicity:
         s = solve(TransmonParams(1.0, 1.0, n_cutoff=1))
         assert s.n_levels == 3
         anharmonicity(s)  # exactly three is enough
+
+
+def cos_phi_op(n_cutoff, sign=TunnelingSign.PLUS):
+    """cos(phi) as a charge-basis matrix, consistent with ``sign`` so that
+    -E_J cos(phi) reproduces the tunneling block of the Hamiltonian."""
+    s = 1.0 if sign is TunnelingSign.PLUS else -1.0
+    shift = np.eye(2 * n_cutoff + 1, k=1)
+    return qops.Operator(-s * (shift + shift.T) / 2.0)
 
 
 class TestPhaseOperators:
