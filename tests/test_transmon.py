@@ -338,9 +338,10 @@ class TestDispersion:
         assert len(rows) in (41, 81, 161, 321)
         assert len(set(rows)) == len(rows)
 
-    @pytest.mark.parametrize("level", [-1, 11, 99])
+    @pytest.mark.parametrize("level", [-1, -11, 11, 99])
     def test_rejects_levels_outside_the_basis(self, level):
-        # -1 would read the top level's dispersion, 99 fail inside the sweep
+        # -1 would read the top level's dispersion, -11 the ground state's,
+        # 99 fail inside the sweep
         p = TransmonParams(0.3, 15.0, n_cutoff=5)
         with pytest.raises(IndexError, match=r"outside \[0, 11\)"):
             charge_dispersion(p, level)
