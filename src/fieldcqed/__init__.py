@@ -34,6 +34,7 @@ from .dynamics import (
     ehrenfest_residual,
     evolve,
     first_return_period,
+    secular_energy_ratio,
 )
 from .errors import (
     CapacityError,

@@ -174,22 +174,13 @@ def bath_suite():
     return results, {"kappa_fit": float(kappa), "kappa_golden_rule": float(kappa_gr)}
 
 
-def _secular_ratio(p, w_p):
-    """Second-half over first-half energy-error envelope of a 1e6-step
-    leapfrog.  Only the float leaves, so the run's arrays (32 MB) are freed
-    before the caller goes on."""
-    t = np.linspace(0.0, 1000 * 2 * np.pi / w_p, 1_000_001)
-    energy = dyn.classical_trajectory(p, dyn.ClassicalState(phi=0.3, n=0.0), t).series["energy"]
-    half = energy.size // 2
-    e0 = energy[0]
-    return dyn.max_deviation(energy[half:], e0) / dyn.max_deviation(energy[:half], e0)
-
-
 def equations_of_motion_suite():
     """Classical, symplectic, and Ehrenfest consistency of the same dynamics.
 
-    Memory: the 1e6-step leapfrog lives only inside :func:`_secular_ratio`,
-    so its arrays and the Ehrenfest runs' states are never alive together.
+    Memory: the 1e6-step leapfrog runs through
+    :func:`fieldcqed.dynamics.secular_energy_ratio`, which holds two blocks
+    of ``qops._BLOCK`` floats besides its 8 MB time grid; the only kept
+    trajectory is the 40001-point frequency run.
     """
     p = tq.TransmonParams(EC=0.3, EJ=15.0, n_cutoff=20)
     w_p = np.sqrt(8 * p.EC * p.EJ)
@@ -201,7 +192,9 @@ def equations_of_motion_suite():
     period = 2 * (t[crossings[-1]] - t[crossings[0]]) / (crossings.size - 1)
     w_meas = 2 * np.pi / period
 
-    secular_ratio = _secular_ratio(p, w_p)
+    secular_ratio = dyn.secular_energy_ratio(
+        p, dyn.ClassicalState(phi=0.3, n=0.0),
+        np.linspace(0.0, 1000 * 2 * np.pi / w_p, 1_000_001))
 
     s = tq.solve(p)
     psi0 = dyn.StateVector.from_amplitudes(s.eigvecs[:, 0] + 1j * s.eigvecs[:, 1])

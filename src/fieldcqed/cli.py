@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -494,8 +495,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as one ``warning: <message>`` line, without the source
+    path and line that Python's own format adds."""
+    return "warning: " + " ".join(str(message).splitlines()) + "\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # only the format changes, and only inside main: the warning filters
+    # (-W error too) and a caller that records warnings stay in force
+    saved = warnings.formatwarning
+    warnings.formatwarning = _format_warning
+    try:
+        return _run(args)
+    finally:
+        warnings.formatwarning = saved
+
+
+def _run(args) -> int:
     try:
         if args.config is not None:
             path = Path(args.config)

@@ -122,6 +122,60 @@ def _uniform_dt(t: np.ndarray) -> float:
     return float(dt.mean())
 
 
+def _initial_energy(p: TransmonParams, s0: ClassicalState) -> float:
+    """4 E_C (n - n_g)^2 - E_J cos(phi) of ``s0``, in scalar arithmetic."""
+    return 4.0 * p.EC * (float(s0.n) - p.ng) ** 2 - p.EJ * math.cos(float(s0.phi))
+
+
+def _leapfrog(p: TransmonParams, dt: float, f: float, v: float, phi_out, n_out,
+              first_step: int) -> tuple:
+    """Advance the phase ``f`` and charge ``v`` by ``len(phi_out)``
+    kick-drift-kick steps of ``dt``, storing each step's phase and charge in
+    ``phi_out`` and ``n_out``; ``first_step`` numbers the first step in the
+    divergence message.  Returns the final ``(f, v)``."""
+    ec8, ej, ng = 8.0 * p.EC, p.EJ, p.ng
+    sin = math.sin
+    half = 0.5 * dt
+    # the closing half-kick of one step is the opening half-kick of the next
+    kick = ej * sin(f) * half
+    # stores through a memoryview skip ndarray item assignment's dispatch
+    phi_mv, n_mv = memoryview(phi_out), memoryview(n_out)
+    for j in range(len(phi_out)):
+        v -= kick
+        f += ec8 * (v - ng) * dt
+        # checked before sin(f), which raises on an infinite phase
+        if not -1e150 < f < 1e150:
+            raise StepSizeError(f"trajectory diverged at step {first_step + j}; reduce dt")
+        kick = ej * sin(f) * half
+        v -= kick
+        phi_mv[j] = f
+        n_mv[j] = v
+    return f, v
+
+
+def _energy(p: TransmonParams, phi: np.ndarray, n: np.ndarray, out: np.ndarray,
+            cos_out: np.ndarray) -> np.ndarray:
+    """:func:`_initial_energy`'s expression elementwise into ``out``, with the
+    cosines in ``cos_out``; either may be the input it replaces."""
+    np.subtract(n, p.ng, out=out)
+    np.square(out, out=out)
+    out *= 4.0 * p.EC
+    np.cos(phi, out=cos_out)
+    cos_out *= p.EJ
+    out -= cos_out
+    return out
+
+
+def _energy_scale(p: TransmonParams, e0: float, worst: float) -> float:
+    """The scale the energy error is measured on; raises StepSizeError when
+    the largest deviation ``worst`` from ``e0`` exceeds 1% of it."""
+    e_scale = abs(e0) if abs(e0) > 1e-12 * (p.EJ + 4 * p.EC) else (p.EJ + 4 * p.EC)
+    if worst > 0.01 * e_scale:
+        raise StepSizeError(
+            f"energy drift {worst:.3e} exceeds 1% of the initial scale {e_scale:.3e}; reduce dt")
+    return e_scale
+
+
 def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Trajectory:
     """Leapfrog integration of the classical phase/charge pair.
 
@@ -134,57 +188,35 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
     floats, and before them the grid spacing that :func:`_uniform_dt`
     averages.  The energy pass fills ``energy`` block by block and the
     drift is read with :func:`max_deviation`, so neither builds a
-    temporary of the grid's length.
+    temporary of the grid's length.  A run whose series are not needed
+    belongs in :func:`secular_energy_ratio`, which holds no array of the
+    grid's length.
     """
     t = time_grid(t_grid)
     dt = _uniform_dt(t)
-    n_steps = t.size - 1
-    ec4, ec8 = 4.0 * p.EC, 8.0 * p.EC
-    ej, ng = p.EJ, p.ng
     phi = np.empty(t.size)
     n = np.empty(t.size)
     energy = np.empty(t.size)
-    f, v = float(s0.phi), float(s0.n)
-    phi[0], n[0] = f, v
-    energy[0] = ec4 * (v - ng) ** 2 - ej * math.cos(f)
-    sin = math.sin
-    half = 0.5 * dt
-    # the closing half-kick of one step is the opening half-kick of the next
-    kick = ej * sin(f) * half
-    # stores through a memoryview skip ndarray item assignment's dispatch
-    phi_out, n_out = memoryview(phi), memoryview(n)
-    for k in range(1, n_steps + 1):
-        v -= kick
-        f += ec8 * (v - ng) * dt
-        # checked before sin(f), which raises on an infinite phase
-        if not -1e150 < f < 1e150:
-            raise StepSizeError(f"trajectory diverged at step {k}; reduce dt")
-        kick = ej * sin(f) * half
-        v -= kick
-        phi_out[k] = f
-        n_out[k] = v
-    # energy[0]'s expression in the same operations, a block at a time
-    cos_block = np.empty(min(_BLOCK, n_steps))
+    phi[0], n[0] = s0.phi, s0.n
+    energy[0] = _initial_energy(p, s0)
+    _leapfrog(p, dt, float(s0.phi), float(s0.n), phi[1:], n[1:], 1)
+    cos_block = np.empty(min(_BLOCK, t.size - 1))
     for lo in range(1, t.size, _BLOCK):
         e = energy[lo:lo + _BLOCK]
-        c = cos_block[:e.size]
-        np.subtract(n[lo:lo + _BLOCK], ng, out=e)
-        np.square(e, out=e)
-        e *= ec4
-        np.cos(phi[lo:lo + _BLOCK], out=c)
-        c *= ej
-        e -= c
+        _energy(p, phi[lo:lo + _BLOCK], n[lo:lo + _BLOCK], e, cos_block[:e.size])
     e0 = energy[0]
-    e_scale = abs(e0) if abs(e0) > 1e-12 * (p.EJ + 4 * p.EC) else (p.EJ + 4 * p.EC)
     worst = max_deviation(energy, e0)
-    if worst > 0.01 * e_scale:
-        raise StepSizeError(
-            f"energy drift {worst:.3e} exceeds 1% of the initial scale {e_scale:.3e}; reduce dt")
+    e_scale = _energy_scale(p, e0, worst)
     return Trajectory(
         times=t,
         series={"phi": phi, "n": n, "energy": energy},
         metadata={"dt": dt, "max_energy_error": worst, "energy_scale": e_scale},
     )
+
+
+def _envelope(hi, lo, x0: float) -> float:
+    """``max(hi - x0, x0 - lo)`` as a non-negative float; NaN propagates."""
+    return abs(float(np.maximum(hi - x0, x0 - lo)))
 
 
 def max_deviation(x: np.ndarray, x0: float) -> float:
@@ -193,7 +225,56 @@ def max_deviation(x: np.ndarray, x0: float) -> float:
     rounded difference is the rounded difference from ``x.max()`` or
     ``x.min()``.  NaN propagates as through ``np.max``; ``abs`` turns the
     -0.0 of ``np.maximum(-0.0, 0.0)`` into the 0.0 that ``np.abs`` gives."""
-    return abs(float(np.maximum(x.max() - x0, x0 - x.min())))
+    return _envelope(x.max(), x.min(), x0)
+
+
+def secular_energy_ratio(p: TransmonParams, s0: ClassicalState, t_grid) -> float:
+    """Second-half over first-half energy-error envelope of the leapfrog
+    from ``s0`` on ``t_grid``: near 1 when the error stays bounded, growing
+    with the run when it drifts.
+
+    With ``h = t_grid.size // 2`` and the energies ``energy`` that
+    :func:`classical_trajectory` gives, the ratio is
+    ``max_deviation(energy[h:], e0) / max_deviation(energy[:h], e0)`` bit
+    for bit, and the run raises classical_trajectory's StepSizeErrors with
+    the same messages.  Raises ContractViolationError for fewer than 3
+    points, and NumericError when the first-half envelope is exactly 0: E_J
+    = 0 conserves the energy exactly, and with 3 points the first half is
+    the initial sample alone.
+
+    Memory: two reused blocks of ``qops._BLOCK`` floats, one for the phase
+    and one for the charge (overwritten by each block's energies), and
+    before them the grid spacing that :func:`_uniform_dt` averages.  Each
+    block's energies fold into running extremes of the two halves.
+    """
+    t = time_grid(t_grid)
+    if t.size < 3:
+        raise ContractViolationError(
+            f"the secular energy ratio needs at least 3 time points, got {t.size}")
+    dt = _uniform_dt(t)
+    e0 = _initial_energy(p, s0)
+    split = t.size // 2
+    # running (max, min) of the energies before and from the split
+    halves = [(e0, e0), (-math.inf, math.inf)]
+    phi = np.empty(min(_BLOCK, t.size - 1))
+    n = np.empty(phi.size)
+    f, v = float(s0.phi), float(s0.n)
+    for lo in range(1, t.size, _BLOCK):
+        size = min(_BLOCK, t.size - lo)
+        f, v = _leapfrog(p, dt, f, v, phi[:size], n[:size], lo)
+        e = _energy(p, phi[:size], n[:size], n[:size], phi[:size])
+        cut = min(max(split - lo, 0), size)  # this block's samples before the split
+        for k, part in enumerate((e[:cut], e[cut:])):
+            if part.size:
+                hi, low = halves[k]
+                halves[k] = np.maximum(hi, part.max()), np.minimum(low, part.min())
+    first, second = (_envelope(hi, low, e0) for hi, low in halves)
+    # rounding is monotone, so the larger envelope is the whole run's
+    _energy_scale(p, e0, float(np.maximum(first, second)))
+    if first == 0.0:
+        raise NumericError(
+            "the first-half energy envelope is exactly 0, so the secular ratio is undefined")
+    return second / first
 
 
 def ehrenfest_check(p: TransmonParams, psi0: StateVector, t_grid) -> float:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +444,38 @@ class TestMainExitCodes:
         with pytest.warns(UserWarning, match=r"spectral_spread = \d\.\d\de\+300$"):
             assert cli.main(["evolve", "--config", write_config(tmp_path, payload),
                              "--out", str(tmp_path / "out")]) == 0
+
+    COARSE_EVOLVE = {"mode": "evolve", "transmon": {"E_C": 0.3, "E_J": 15, "n_cutoff": 1},
+                     "time_grid": {"t_max": 1e300, "n_points": 5}}
+
+    def test_library_warning_is_one_stderr_line(self, tmp_path):
+        # Python's own format named the absolute path of cli.py and printed
+        # the source line after it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fieldcqed.cli", "evolve",
+             "--config", write_config(tmp_path, self.COARSE_EVOLVE),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: t_grid too coarse"), lines
+
+    def test_warning_format_does_not_outlive_main(self, tmp_path):
+        hooks = (warnings.showwarning, warnings.formatwarning)
+        argv = ["evolve", "--config", write_config(tmp_path, self.COARSE_EVOLVE),
+                "--out", str(tmp_path / "out")]
+        with pytest.warns(UserWarning, match="t_grid too coarse"):
+            assert cli.main(argv) == 0
+        assert (warnings.showwarning, warnings.formatwarning) == hooks
+        # filters stay in force: -W error turns the warning into an exception
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="t_grid too coarse"):
+                cli.main(argv)
+        assert (warnings.showwarning, warnings.formatwarning) == hooks
 
     def test_grid_too_coarse_for_its_encoded_universe_returns_three(self, tmp_path, capsys):
         # pi c / delta_omega vanishes beside cavity_length, so the closed

@@ -22,8 +22,15 @@ from fieldcqed.dynamics import (
     ehrenfest_residual,
     evolve,
     first_return_period,
+    max_deviation,
+    secular_energy_ratio,
 )
-from fieldcqed.errors import ContractViolationError, DimensionMismatchError, StepSizeError
+from fieldcqed.errors import (
+    ContractViolationError,
+    DimensionMismatchError,
+    NumericError,
+    StepSizeError,
+)
 from fieldcqed.qops import _BLOCK, Operator, StateVector, annihilation_op, spectrum
 from fieldcqed.transmon import TransmonParams, sin_phi_op, solve
 from fieldcqed.txline import (
@@ -298,6 +305,8 @@ class TestClassicalTrajectory:
         assert energy[0] == 4.0 * p.EC * (s0.n - p.ng) ** 2 - p.EJ * math.cos(s0.phi)
         assert energy[1:].tobytes() == whole.tobytes()
         assert traj.metadata["max_energy_error"] == np.max(np.abs(energy - energy[0]))
+        assert traj.metadata["energy_scale"] == abs(energy[0])
+        assert traj.metadata["dt"] == float(np.diff(traj.times).mean())
 
     def test_divergence_raises_like_the_reference(self):
         p = TransmonParams(EC=1.0, EJ=1e200)
@@ -422,6 +431,75 @@ class TestClassicalTrajectory:
         p = TransmonParams(EC=1.0, EJ=1.0)
         with pytest.raises(ContractViolationError, match="finite"):
             classical_trajectory(p, ClassicalState(0.1, 0.0), t)
+
+
+def kept_energy_ratio(p, s0, t):
+    """The secular ratio over the energies that classical_trajectory keeps:
+    the reference for the streamed one."""
+    energy = classical_trajectory(p, s0, t).series["energy"]
+    h = energy.size // 2
+    return max_deviation(energy[h:], energy[0]) / max_deviation(energy[:h], energy[0])
+
+
+def raised(fn, *args) -> str:
+    """The message of the StepSizeError that ``fn(*args)`` raises."""
+    with pytest.raises(StepSizeError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+class TestSecularEnergyRatio:
+    P = TransmonParams(EC=0.3, EJ=15.0, ng=0.37)
+    S0 = ClassicalState(phi=0.3, n=0.1)
+
+    # block boundaries fall at samples 1 + k _BLOCK; the halves split at
+    # size // 2, which is a boundary at 2 _BLOCK + 2 and one past it at
+    # 2 _BLOCK + 1
+    @pytest.mark.parametrize("size", [4, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2,
+                                      2 * _BLOCK + 1, 2 * _BLOCK + 2])
+    def test_equals_the_ratio_over_the_kept_energies(self, size):
+        t = np.linspace(0.0, 2e-3 * (size - 1), size)
+        ratio = secular_energy_ratio(self.P, self.S0, t)
+        assert ratio.hex() == kept_energy_ratio(self.P, self.S0, t).hex()
+
+    def test_three_points_leave_the_first_half_one_sample(self):
+        t = np.linspace(0.0, 4e-3, 3)
+        with pytest.raises(ZeroDivisionError):
+            kept_energy_ratio(self.P, self.S0, t)
+        with pytest.raises(NumericError, match="first-half energy envelope is exactly 0"):
+            secular_energy_ratio(self.P, self.S0, t)
+
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_needs_three_points(self, size):
+        with pytest.raises(ContractViolationError):
+            secular_energy_ratio(self.P, self.S0, np.linspace(0.0, 1.0, size))
+
+    def test_exactly_conserved_energy_is_a_numeric_error(self):
+        # E_J = 0: the charge never changes, so every energy equals the first
+        p = TransmonParams(EC=0.3, EJ=0.0)
+        t = np.linspace(0.0, 1.0, 101)
+        with pytest.raises(ZeroDivisionError):
+            kept_energy_ratio(p, self.S0, t)
+        with pytest.raises(NumericError) as err:
+            secular_energy_ratio(p, self.S0, t)
+        assert "\n" not in str(err.value)
+
+    def test_divergence_past_the_first_block_raises_like_the_trajectory(self):
+        # a free rotor whose phase grows by the same step until it passes 1e150
+        p = TransmonParams(EC=0.125, EJ=0.0)
+        s0 = ClassicalState(phi=0.0, n=1e150 / (_BLOCK + 7.5))
+        t = np.arange(2 * _BLOCK + 10.0)
+        message = raised(classical_trajectory, p, s0, t)
+        assert int(re.search(r"step (\d+);", message).group(1)) > _BLOCK
+        assert raised(secular_energy_ratio, p, s0, t) == message
+
+    def test_drift_raises_like_the_trajectory(self):
+        p = TransmonParams(EC=1.0, EJ=100.0)
+        s0 = ClassicalState(phi=1.0, n=0.0)
+        t = np.linspace(0, 50, 101)
+        message = raised(classical_trajectory, p, s0, t)
+        assert message.startswith("energy drift")
+        assert raised(secular_energy_ratio, p, s0, t) == message
 
 
 class TestEhrenfest:

@@ -1,11 +1,10 @@
-"""Memory contracts of the classical leapfrog, of the Ehrenfest check and
-of the ``check`` run that holds the leapfrog's 10^6-step trajectory."""
+"""Memory contracts of the classical leapfrog, of the streamed secular
+energy ratio, of the Ehrenfest check and of the ``check`` run."""
 
 import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -43,24 +42,37 @@ def test_leapfrog_peak_is_its_outputs_and_one_block():
     assert peak <= 4 * t.nbytes + _BLOCK * 8
 
 
-def test_long_leapfrog_is_freed_before_the_ehrenfest_runs(monkeypatch):
-    energies = {}
-    alive = []
+def test_secular_ratio_peak_does_not_grow_with_the_run():
+    p = TransmonParams(EC=1.0, EJ=100.0)
+    period = 2 * np.pi / np.sqrt(8 * p.EC * p.EJ)
+    grids = [np.linspace(0.0, k * 1000 * period, k * 100_000 + 1) for k in (1, 2)]
+    peaks = []
+    for t in grids:
+        tracemalloc.start()
+        try:
+            dyn.secular_energy_ratio(p, dyn.ClassicalState(phi=1.0, n=0.0), t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the spacing _uniform_dt averages is the one array of the run's length;
+    # the two blocks are the same at both lengths
+    assert peaks[1] - peaks[0] <= grids[1].nbytes - grids[0].nbytes
+    assert peaks[1] <= grids[1].nbytes + 2 * _BLOCK * 8
+
+
+def test_check_keeps_no_long_trajectory(monkeypatch):
+    sizes = []
     leapfrog = dyn.classical_trajectory
 
     def recording_leapfrog(p, s0, t_grid):
-        traj = leapfrog(p, s0, t_grid)
-        energies[traj.times.size] = weakref.ref(traj.series["energy"])
-        return traj
-
-    def ehrenfest_check(p, psi0, t_grid):
-        alive.append(energies[1_000_001]() is not None)
-        return 1e-9  # the residual plays no part here
+        sizes.append(np.size(t_grid))
+        return leapfrog(p, s0, t_grid)
 
     monkeypatch.setattr(dyn, "classical_trajectory", recording_leapfrog)
-    monkeypatch.setattr(dyn, "ehrenfest_check", ehrenfest_check)
+    monkeypatch.setattr(dyn, "ehrenfest_check", lambda p, psi0, t_grid: 1e-9)
     checks.equations_of_motion_suite()
-    assert alive == [False, False]
+    # the 1e6-step run streams through secular_energy_ratio
+    assert sizes and max(sizes) <= 40001
 
 
 def test_ehrenfest_check_holds_no_unread_series():
@@ -102,4 +114,4 @@ def test_check_run_peak_above_the_imported_package(tmp_path):
                           capture_output=True, text=True, timeout=120, env=env)
     rc, growth_mb = proc.stdout.splitlines()[-1].split()
     assert rc == "0", proc.stdout + proc.stderr
-    assert float(growth_mb) < 50.0
+    assert float(growth_mb) < 33.0
