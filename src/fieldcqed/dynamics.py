@@ -153,27 +153,50 @@ def _leapfrog(p: TransmonParams, dt: float, f: float, v: float, phi_out, n_out,
     return f, v
 
 
-def _energy(p: TransmonParams, phi: np.ndarray, n: np.ndarray, out: np.ndarray,
-            cos_out: np.ndarray) -> np.ndarray:
-    """:func:`_initial_energy`'s expression elementwise into ``out``, with the
-    cosines in ``cos_out``; either may be the input it replaces."""
-    np.subtract(n, p.ng, out=out)
-    np.square(out, out=out)
-    out *= 4.0 * p.EC
-    np.cos(phi, out=cos_out)
-    cos_out *= p.EJ
-    out -= cos_out
-    return out
-
-
-def _energy_scale(p: TransmonParams, e0: float, worst: float) -> float:
-    """The scale the energy error is measured on; raises StepSizeError when
-    the largest deviation ``worst`` from ``e0`` exceeds 1% of it."""
+def _run_leapfrog(p: TransmonParams, s0: ClassicalState, t: np.ndarray, dt: float,
+                  split: int, phi, n, energy, cos) -> tuple:
+    """The leapfrog from ``s0`` over ``t`` in blocks of ``qops._BLOCK`` steps.
+    Step k's phase, charge, energy (:func:`_initial_energy` elementwise) and
+    ``E_J cos(phi)`` go to ``phi``, ``n``, ``energy`` and ``cos`` at index
+    ``(k - 1) % size``: arrays of ``t.size - 1`` keep the run, one-block
+    arrays are reused; ``energy`` may be ``n`` and ``cos`` may be ``phi``.
+    Returns the energy-error envelopes of the samples before ``split`` and
+    from it, and their scale; raises StepSizeError when either exceeds 1% of it."""
+    e0 = _initial_energy(p, s0)
+    halves = [(e0, e0), (e0, e0)]  # running (max, min) before and from the split
+    f, v = float(s0.phi), float(s0.n)
+    for lo in range(1, t.size, _BLOCK):
+        size = min(_BLOCK, t.size - lo)
+        phi_k, n_k, e, c = (a[(lo - 1) % a.size:][:size] for a in (phi, n, energy, cos))
+        f, v = _leapfrog(p, dt, f, v, phi_k, n_k, lo)
+        np.subtract(n_k, p.ng, out=e)
+        np.square(e, out=e)
+        e *= 4.0 * p.EC
+        np.cos(phi_k, out=c)
+        c *= p.EJ
+        e -= c
+        cut = min(max(split - lo, 0), size)  # this block's samples before the split
+        for k, part in enumerate((e[:cut], e[cut:])):
+            if part.size:
+                hi, low = halves[k]
+                halves[k] = np.maximum(hi, part.max()), np.minimum(low, part.min())
+    first, second = (_envelope(hi, low, e0) for hi, low in halves)
+    # rounding is monotone, so the larger envelope is the whole run's
+    worst = float(np.maximum(first, second))
     e_scale = abs(e0) if abs(e0) > 1e-12 * (p.EJ + 4 * p.EC) else (p.EJ + 4 * p.EC)
     if worst > 0.01 * e_scale:
         raise StepSizeError(
             f"energy drift {worst:.3e} exceeds 1% of the initial scale {e_scale:.3e}; reduce dt")
-    return e_scale
+    return first, second, e_scale
+
+
+def _envelope(hi, lo, x0: float) -> float:
+    """``max(hi - x0, x0 - lo)`` as a non-negative float; NaN propagates.
+    Rounding is monotone, so over ``hi = x.max()`` and ``lo = x.min()`` this
+    is ``np.max(np.abs(x - x0))`` bit for bit, without the temporary ``x -
+    x0``; ``abs`` turns the -0.0 of ``np.maximum(-0.0, 0.0)`` into the 0.0
+    that ``np.abs`` gives."""
+    return abs(float(np.maximum(hi - x0, x0 - lo)))
 
 
 def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Trajectory:
@@ -185,12 +208,9 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
     raises StepSizeError.
 
     Memory: the three output series plus one block of ``qops._BLOCK``
-    floats, and before them the grid spacing that :func:`_uniform_dt`
-    averages.  The energy pass fills ``energy`` block by block and the
-    drift is read with :func:`max_deviation`, so neither builds a
-    temporary of the grid's length.  A run whose series are not needed
-    belongs in :func:`secular_energy_ratio`, which holds no array of the
-    grid's length.
+    cosines, and before them the grid spacing that :func:`_uniform_dt`
+    averages; :func:`_run_leapfrog` reads the drift from running extremes.
+    A run whose series are not needed belongs in :func:`secular_energy_ratio`.
     """
     t = time_grid(t_grid)
     dt = _uniform_dt(t)
@@ -199,14 +219,8 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
     energy = np.empty(t.size)
     phi[0], n[0] = s0.phi, s0.n
     energy[0] = _initial_energy(p, s0)
-    _leapfrog(p, dt, float(s0.phi), float(s0.n), phi[1:], n[1:], 1)
-    cos_block = np.empty(min(_BLOCK, t.size - 1))
-    for lo in range(1, t.size, _BLOCK):
-        e = energy[lo:lo + _BLOCK]
-        _energy(p, phi[lo:lo + _BLOCK], n[lo:lo + _BLOCK], e, cos_block[:e.size])
-    e0 = energy[0]
-    worst = max_deviation(energy, e0)
-    e_scale = _energy_scale(p, e0, worst)
+    worst, _, e_scale = _run_leapfrog(p, s0, t, dt, t.size, phi[1:], n[1:], energy[1:],
+                                      np.empty(min(_BLOCK, t.size - 1)))
     return Trajectory(
         times=t,
         series={"phi": phi, "n": n, "energy": energy},
@@ -214,63 +228,33 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
     )
 
 
-def _envelope(hi, lo, x0: float) -> float:
-    """``max(hi - x0, x0 - lo)`` as a non-negative float; NaN propagates."""
-    return abs(float(np.maximum(hi - x0, x0 - lo)))
-
-
-def max_deviation(x: np.ndarray, x0: float) -> float:
-    """``np.max(np.abs(x - x0))`` over a non-empty float array, bit for bit,
-    without the temporary ``x - x0``: rounding is monotone, so the largest
-    rounded difference is the rounded difference from ``x.max()`` or
-    ``x.min()``.  NaN propagates as through ``np.max``; ``abs`` turns the
-    -0.0 of ``np.maximum(-0.0, 0.0)`` into the 0.0 that ``np.abs`` gives."""
-    return _envelope(x.max(), x.min(), x0)
-
-
 def secular_energy_ratio(p: TransmonParams, s0: ClassicalState, t_grid) -> float:
     """Second-half over first-half energy-error envelope of the leapfrog
     from ``s0`` on ``t_grid``: near 1 when the error stays bounded, growing
     with the run when it drifts.
 
-    With ``h = t_grid.size // 2`` and the energies ``energy`` that
-    :func:`classical_trajectory` gives, the ratio is
-    ``max_deviation(energy[h:], e0) / max_deviation(energy[:h], e0)`` bit
-    for bit, and the run raises classical_trajectory's StepSizeErrors with
-    the same messages.  Raises ContractViolationError for fewer than 3
+    With ``h = t_grid.size // 2``, ``energy`` the series that
+    :func:`classical_trajectory` gives and ``e0 = energy[0]``, the ratio is
+    ``np.max(np.abs(energy[h:] - e0)) / np.max(np.abs(energy[:h] - e0))``
+    bit for bit, and the run raises classical_trajectory's StepSizeErrors
+    with the same messages.  Raises ContractViolationError for fewer than 3
     points, and NumericError when the first-half envelope is exactly 0: E_J
     = 0 conserves the energy exactly, and with 3 points the first half is
     the initial sample alone.
 
-    Memory: two reused blocks of ``qops._BLOCK`` floats, one for the phase
-    and one for the charge (overwritten by each block's energies), and
-    before them the grid spacing that :func:`_uniform_dt` averages.  Each
-    block's energies fold into running extremes of the two halves.
+    Memory: the grid spacing that :func:`_uniform_dt` averages, freed
+    before :func:`_run_leapfrog` reuses two blocks of ``qops._BLOCK``
+    floats: the phases, overwritten by their cosines, and the charges,
+    overwritten by the energies.
     """
     t = time_grid(t_grid)
     if t.size < 3:
         raise ContractViolationError(
             f"the secular energy ratio needs at least 3 time points, got {t.size}")
-    dt = _uniform_dt(t)
-    e0 = _initial_energy(p, s0)
-    split = t.size // 2
-    # running (max, min) of the energies before and from the split
-    halves = [(e0, e0), (-math.inf, math.inf)]
+    dt = _uniform_dt(t)  # before the blocks, so the spacing is not alive beside them
     phi = np.empty(min(_BLOCK, t.size - 1))
     n = np.empty(phi.size)
-    f, v = float(s0.phi), float(s0.n)
-    for lo in range(1, t.size, _BLOCK):
-        size = min(_BLOCK, t.size - lo)
-        f, v = _leapfrog(p, dt, f, v, phi[:size], n[:size], lo)
-        e = _energy(p, phi[:size], n[:size], n[:size], phi[:size])
-        cut = min(max(split - lo, 0), size)  # this block's samples before the split
-        for k, part in enumerate((e[:cut], e[cut:])):
-            if part.size:
-                hi, low = halves[k]
-                halves[k] = np.maximum(hi, part.max()), np.minimum(low, part.min())
-    first, second = (_envelope(hi, low, e0) for hi, low in halves)
-    # rounding is monotone, so the larger envelope is the whole run's
-    _energy_scale(p, e0, float(np.maximum(first, second)))
+    first, second, _ = _run_leapfrog(p, s0, t, dt, t.size // 2, phi, n, n, phi)
     if first == 0.0:
         raise NumericError(
             "the first-half energy envelope is exactly 0, so the secular ratio is undefined")
@@ -293,9 +277,9 @@ def ehrenfest_residual(p: TransmonParams, times, n_expect, sin_phi) -> float:
     The derivative is a centered finite difference on the uniform grid
     ``times``, so the residual itself converges at second order in the grid
     spacing.  Returns max_t |d<n>/dt + E_J <sin phi>| normalized by the
-    larger of max|E_J <sin phi>| and 1e-3 E_J (the floor keeps eigenstate
-    runs, where both sides vanish, from dividing noise by noise).  Warns
-    when the grid is too coarse for the spectrum of ``p``.
+    larger of max|E_J <sin phi>| and 1e-3 E_J, or 4e-3 E_C at E_J = 0 (the
+    floor keeps eigenstate runs, where both sides vanish, from dividing
+    noise by noise).  Warns when the grid is too coarse for ``p``'s spectrum.
     """
     t = time_grid(times)
     if t.size < 3:
@@ -315,12 +299,12 @@ def ehrenfest_residual(p: TransmonParams, times, n_expect, sin_phi) -> float:
     rhs = -p.EJ * np.asarray(sin_phi)
     lhs = (n_t[2:] - n_t[:-2]) / (2.0 * dt)
     resid = np.max(np.abs(lhs - rhs[1:-1]))
-    denom = max(float(np.max(np.abs(rhs))), 1e-3 * p.EJ)
+    denom = max(float(np.max(np.abs(rhs))), 1e-3 * (p.EJ or 4.0 * p.EC))
     return float(resid / denom)
 
 
-def first_return_period(times: np.ndarray, series: np.ndarray, threshold: float = 0.9) -> float:
-    """Time of the first interior local maximum exceeding ``threshold``.
+def first_return_period(times: np.ndarray, series: np.ndarray) -> float:
+    """Time of the first interior local maximum >= 0.9 after a sample < 0.9.
 
     A parabola through the three samples around the maximum refines the
     estimate, so the grid does not need to resolve the peak exactly.  Used
@@ -330,7 +314,7 @@ def first_return_period(times: np.ndarray, series: np.ndarray, threshold: float 
     s = np.asarray(series, dtype=float)
     fell = False
     for k in range(1, t.size - 1):
-        if s[k] < threshold:
+        if s[k] < 0.9:
             fell = True
             continue
         if fell and s[k] >= s[k - 1] and s[k] >= s[k + 1]:

@@ -481,15 +481,15 @@ def _coupled_roots(c, z, vecs, d, b, sigma, tol):
 
 
 def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> Spectrum:
-    """Eigendecomposition of the real symmetric tridiagonal matrix with
-    main diagonal ``diag`` and first off-diagonal ``off``, or of a stack of
-    them: ``diag`` of shape (b, n) holds b main diagonals that share ``off``.
+    """Eigendecompositions of a stack of real symmetric tridiagonal
+    matrices: ``diag`` of shape (b, n) holds b main diagonals that share the
+    first off-diagonal ``off`` (a 1-D ``diag`` is a stack of one).
 
     Each matrix is one call of LAPACK ``stevd``, the divide-and-conquer step
     that the dense ``evd`` solver of :func:`spectrum` runs after reducing a
     matrix to tridiagonal form; on a matrix that is tridiagonal already the
-    reduction is the identity, so both return the same eigenpairs.  A stack
-    gives ``evals`` of shape (b, n) and ``vecs`` of shape (b, n, n), and each
+    reduction is the identity, so both return the same eigenpairs.  The
+    ``evals`` have shape (b, n) and the ``vecs`` shape (b, n, n), and each
     ``vecs[k]`` is Fortran-ordered, as LAPACK returns it, so its columns are
     contiguous.  The bands are checked finite once per call.  Non-finite
     bands and LAPACK failures are raised as NumericError.
@@ -509,8 +509,6 @@ def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> Spectrum:
         if info:
             raise NumericError(f"eigendecomposition of dimension {n} failed: "
                                f"stevd did not converge (info {info})")
-    if d.ndim == 1:
-        return Spectrum(evals[0], vecs[0])
     return Spectrum(evals, vecs)
 
 

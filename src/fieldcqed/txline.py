@@ -213,7 +213,6 @@ def _quadrature_grids(modes: ModeSet, xsec: TEMCrossSection, points_per_waveleng
 
 
 def _energies_at(modes: ModeSet, xsec: TEMCrossSection, q, p, z, x):
-    L = modes.line.length
     # field side: volume quadrature of eps|E|^2 and mu|H|^2 with separable
     # TEM profiles; the sqrt(2) puts a unit amplitude at energy hbar*omega/2
     u_t = 1.0 / xsec.d

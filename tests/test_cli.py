@@ -788,6 +788,22 @@ class TestOutputs:
         for name in ("evolution.csv", "summary.json"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
+    def test_evolve_without_josephson_energy_writes_valid_json(self, tmp_path):
+        # the residual's floor 1e-3 E_J was 0 at E_J = 0, which the schema
+        # allows, and summary.json held "ehrenfest_residual": Infinity
+        payload = {"mode": "evolve", "transmon": {"E_C": 1.0, "E_J": 0.0, "n_cutoff": 3},
+                   "time_grid": {"t_max": 1.0, "n_points": 11}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the 11-point grid is coarse
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["evolve", "--config", write_config(tmp_path, payload),
+                             "--out", str(tmp_path)]) == 0
+
+        def reject(name):
+            raise ValueError(f"summary.json holds {name}, which is not JSON")
+        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        assert 0.0 <= summary["scalars"]["ehrenfest_residual"] < 1e-9
+
     def test_summary_lists_exactly_the_files_written(self, tmp_path):
         payload = {"mode": "bath",
                    "bath": {"cavity_length": 1.0, "wave_speed": 1.0, "total_length": 10.0,

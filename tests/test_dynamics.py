@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from fieldcqed.dynamics import (
     ehrenfest_residual,
     evolve,
     first_return_period,
-    max_deviation,
     secular_energy_ratio,
 )
 from fieldcqed.errors import (
@@ -119,12 +119,12 @@ def test_ascending_test_agrees_with_the_spacing_sign(points, ascending):
        other=st.floats(allow_nan=False, allow_infinity=False))
 @example(x=[-0.0], which="other", other=0.0)
 @example(x=[1e308, -1e308], which="first", other=0.0)
-def test_max_deviation_is_the_abs_envelope(x, which, other):
+def test_envelope_of_the_extremes_is_the_abs_max(x, which, other):
     x = np.array(x)
     x0 = {"max": x.max(), "min": x.min(), "first": x[0], "other": other}[which]
     with np.errstate(over="ignore"):
         envelope = float(np.max(np.abs(x - x0)))
-        assert repr(dynamics.max_deviation(x, x0)) == repr(envelope)
+        assert repr(dynamics._envelope(x.max(), x.min(), x0)) == repr(envelope)
 
 
 # a NaN passes the ascending test (t[k+1] <= t[k] is False next to a NaN)
@@ -438,7 +438,8 @@ def kept_energy_ratio(p, s0, t):
     the reference for the streamed one."""
     energy = classical_trajectory(p, s0, t).series["energy"]
     h = energy.size // 2
-    return max_deviation(energy[h:], energy[0]) / max_deviation(energy[:h], energy[0])
+    first, second = (float(np.max(np.abs(e - energy[0]))) for e in (energy[:h], energy[h:]))
+    return second / first
 
 
 def raised(fn, *args) -> str:
@@ -502,6 +503,62 @@ class TestSecularEnergyRatio:
         assert raised(secular_energy_ratio, p, s0, t) == message
 
 
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the message of its StepSizeError."""
+    try:
+        return fn(*args)
+    except StepSizeError as err:
+        return str(err)
+
+
+# bounded, drifting (dt past the stability limit) and a free rotor, whose
+# initial charge the test sets so that its phase passes 1e150 at ``step``
+LEAPFROG_CASES = {
+    "bounded": (TransmonParams(EC=0.3, EJ=15.0, ng=0.37), ClassicalState(0.3, 0.1), 2e-3),
+    "drift": (TransmonParams(EC=1.0, EJ=100.0), ClassicalState(1.0, 0.0), 0.5),
+    "diverge": (TransmonParams(EC=0.125, EJ=0.0), None, 1.0),
+}
+
+
+@given(size=st.integers(3, 60), block=st.integers(1, 8),
+       case=st.sampled_from(sorted(LEAPFROG_CASES)), step=st.integers(1, 59))
+# blocks of 4 start at samples 1, 5, 9, ...: split 8 falls inside one, split 9 opens one
+@example(size=17, block=4, case="bounded", step=1)
+@example(size=18, block=4, case="bounded", step=1)
+@example(size=40, block=3, case="drift", step=1)
+@example(size=40, block=3, case="diverge", step=20)
+def test_the_driver_over_many_blocks(size, block, case, step):
+    """Blocks of 1 to 8 steps put the split on and off block boundaries,
+    and both callers still give what the whole arrays give."""
+    p, s0, dt = LEAPFROG_CASES[case]
+    if s0 is None:
+        s0 = ClassicalState(0.0, 1e150 / (min(step, size - 1) - 0.5))
+    t = np.arange(size) * dt
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_BLOCK", block)
+        traj = outcome(classical_trajectory, p, s0, t)
+        try:
+            ratio = outcome(secular_energy_ratio, p, s0, t)
+        except NumericError:
+            ratio = None
+    if isinstance(traj, str):
+        assert case != "bounded"
+        assert ratio == traj
+        return
+    phi, n, _ = reference_leapfrog(p, s0, t)
+    assert np.array_equal(traj.series["phi"], phi) and np.array_equal(traj.series["n"], n)
+    energy = traj.series["energy"]
+    whole = 4.0 * p.EC * (n[1:] - p.ng) ** 2 - p.EJ * np.cos(phi[1:])
+    assert energy[1:].tobytes() == whole.tobytes()
+    assert traj.metadata["max_energy_error"] == np.max(np.abs(energy - energy[0]))
+    h = size // 2
+    first, second = (float(np.max(np.abs(e - energy[0]))) for e in (energy[:h], energy[h:]))
+    if first == 0.0:
+        assert ratio is None
+    else:
+        assert ratio.hex() == (second / first).hex()
+
+
 class TestEhrenfest:
     def test_eigenstate_residual_tiny(self):
         p = TransmonParams(EC=1.0, EJ=100.0, n_cutoff=15)
@@ -549,6 +606,16 @@ class TestEhrenfest:
         psi0 = StateVector.basis_state(p.dim, p.n_cutoff)
         with pytest.raises(ContractViolationError):
             ehrenfest_check(p, psi0, np.array([0.0, 1e-3]))
+
+    def test_residual_is_finite_without_josephson_energy(self):
+        # the floor 1e-3 E_J was 0 at E_J = 0: a divide-by-zero warning and an
+        # infinite residual, where n is conserved and both sides vanish
+        p = TransmonParams(EC=1.0, EJ=0.0, n_cutoff=3)
+        psi0 = StateVector.from_amplitudes(np.ones(p.dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resid = ehrenfest_check(p, psi0, np.linspace(0.0, 1.0, 101))
+        assert math.isfinite(resid) and resid < 1e-9
 
     def test_coarse_grid_warns(self):
         p = TransmonParams(EC=1.0, EJ=100.0, n_cutoff=15)

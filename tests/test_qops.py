@@ -328,10 +328,11 @@ def test_stacked_tridiagonal_matches_one_matrix_at_a_time():
     assert stack.evals.shape == (5, 9) and stack.vecs.shape == (5, 9, 9)
     for k in range(5):
         one = qops.tridiagonal_spectrum(d[k], e)
+        assert one.evals.shape == (1, 9) and one.vecs.shape == (1, 9, 9)
         w, v = scipy.linalg.eigh_tridiagonal(d[k], e)
-        assert np.array_equal(stack.evals[k], w) and np.array_equal(one.evals, w)
-        assert np.array_equal(stack.vecs[k], v) and np.array_equal(one.vecs, v)
-        assert stack.vecs[k].flags.f_contiguous and one.vecs.flags.f_contiguous
+        assert np.array_equal(stack.evals[k], w) and np.array_equal(one.evals[0], w)
+        assert np.array_equal(stack.vecs[k], v) and np.array_equal(one.vecs[0], v)
+        assert stack.vecs[k].flags.f_contiguous and one.vecs[0].flags.f_contiguous
     single = qops.tridiagonal_spectrum(np.array([[2.0], [-1.0]]), np.zeros(0))
     assert np.array_equal(single.evals, [[2.0], [-1.0]])
     assert np.array_equal(single.vecs, np.ones((2, 1, 1)))
@@ -344,8 +345,8 @@ def test_tridiagonal_matches_dense_evd():
     d, e = rng.normal(size=30), rng.normal(size=29)
     dense = spectrum(Operator(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
     tri = qops.tridiagonal_spectrum(d, e)
-    assert np.array_equal(tri.evals, dense.evals)
-    assert np.array_equal(tri.vecs, dense.vecs)
+    assert np.array_equal(tri.evals[0], dense.evals)
+    assert np.array_equal(tri.vecs[0], dense.vecs)
 
 
 def test_only_qops_binds_scipy_eigh():
