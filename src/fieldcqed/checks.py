@@ -181,6 +181,10 @@ def equations_of_motion_suite():
     :func:`fieldcqed.dynamics.secular_energy_ratio`, which holds two blocks
     of ``qops._BLOCK`` floats besides its 8 MB time grid; the only kept
     trajectory is the 40001-point frequency run.
+
+    Time: both leapfrog runs step in the compiled kernel of
+    :mod:`fieldcqed.dynamics` when it is available and in its Python loop
+    otherwise; the results, and so ``checks.json``, are the same bytes.
     """
     p = tq.TransmonParams(EC=0.3, EJ=15.0, n_cutoff=20)
     w_p = np.sqrt(8 * p.EC * p.EJ)

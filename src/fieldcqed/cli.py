@@ -4,11 +4,12 @@ Outputs are deterministic: identical configs produce byte-identical files.
 Numbers are written with 17 significant digits, CSV rows end in LF, and
 JSON keys are sorted.  Exit codes: 0 success, 2 config error (an unreadable
 config file and an output path that is not a directory or cannot be written
-included), 3 numeric or model error (a run too large for memory included), 4
-check failure.  Runners only compute; ``main`` checks the output path before
-the runner runs, then creates the output directory and writes every file
-after the runner has returned, and a write that fails removes what the run
-wrote, so a run that fails leaves nothing behind.
+included), 3 numeric or model error (a run too large for memory and a JSON
+report that would hold an infinity or NaN included), 4 check failure.
+Runners only compute; ``main`` checks the output path before the runner
+runs, then creates the output directory and writes every file after the
+runner has returned, and a write that fails removes what the run wrote, so
+a run that fails leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import coupled as coupled_mod
 from . import dynamics as dyn
 from . import transmon as tq
 from . import txline as tx
-from .errors import ConfigError, FieldCqedError, ModelError
+from .errors import ConfigError, FieldCqedError, ModelError, NumericError
 
 UNITS = ("si", "natural")
 
@@ -54,18 +55,30 @@ def _write_csv(path: Path, header, rows):
         fh.writelines(row % tuple(r) for r in rows)
 
 
-def _write_json(path: Path, payload: dict):
+def _json_text(name: str, payload: dict) -> str:
+    """``payload`` as the text of the JSON file ``name``.  JSON has no
+    infinity or NaN, so a non-finite number in it is a NumericError."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericError(f"{name} would hold a non-finite number") from None
+
+
+def _write_json(path: Path, text: str):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(text)
 
 
 def _write_outputs(out_dir: Path, cfg: dict, result: RunResult):
-    """Write every file of ``result``, then ``summary.json``, into ``out_dir``.  On an
-    ``OSError``, remove the files this call was writing and the directories it
-    created, then re-raise; the old contents of an overwritten file are lost."""
+    """Write every file of ``result``, then ``summary.json``, into ``out_dir``.
+    Every report is serialized first, so a NumericError from
+    :func:`_json_text` leaves nothing behind.  On an ``OSError``, remove the
+    files this call was writing and the directories it created, then
+    re-raise; the old contents of an overwritten file are lost."""
     reports = {**result.reports, "summary.json": {
         "mode": cfg["mode"], "units": cfg.get("units", "natural"),
         "outputs": sorted([*result.tables, *result.reports]), "scalars": result.scalars}}
+    texts = {name: _json_text(name, payload) for name, payload in reports.items()}
     created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     started = []
     try:
@@ -73,9 +86,9 @@ def _write_outputs(out_dir: Path, cfg: dict, result: RunResult):
         for name, (header, rows) in result.tables.items():
             started.append(out_dir / name)
             _write_csv(out_dir / name, header, rows)
-        for name, payload in reports.items():
+        for name, text in texts.items():
             started.append(out_dir / name)
-            _write_json(out_dir / name, payload)
+            _write_json(out_dir / name, text)
     except OSError:
         for path in started:
             with contextlib.suppress(OSError):

@@ -1,12 +1,23 @@
 """Time evolution: exact unitary propagation of finite Hamiltonians,
-symplectic classical transmon trajectories, and the Ehrenfest identity
+symplectic classical transmon trajectories (their step loop compiled from
+``_leapfrog.c`` when a C compiler is at hand), and the Ehrenfest identity
 check connecting the two pictures."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import importlib.resources
 import math
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -153,6 +164,110 @@ def _leapfrog(p: TransmonParams, dt: float, f: float, v: float, phi_out, n_out,
     return f, v
 
 
+# _leapfrog.c repeats _leapfrog in C.  It is compiled on first use by the
+# interpreter's own compiler and cached in __pycache__ beside this module,
+# under a name that hashes the source and the compile command;
+# -ffp-contract=off keeps every product and sum its own rounding, as in Python.
+_SOURCE = importlib.resources.files(__package__) / "_leapfrog.c"
+_CACHE_DIR = Path(__file__).with_name("__pycache__")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_COMPILE_TIMEOUT_S = 120.0
+
+# (params, dt, phi0, n0, steps) of the self-test: bounded, phases past 1e6
+# (sin's argument reduction), kicked past 1e150, and a free rotor at exactly 1e150
+_SELF_TEST = (
+    (TransmonParams(EC=0.3, EJ=15.0, ng=0.37), 2e-3, 0.3, 0.1, 64),
+    (TransmonParams(EC=1.0, EJ=100.0, ng=0.1), 1e-2, -2.0, 1e7, 64),
+    (TransmonParams(EC=1.0, EJ=1e149), 0.1, 1.0, 0.0, 64),
+    (TransmonParams(EC=0.125, EJ=0.0), 1.0, 0.0, 1e149, 16),
+)
+
+
+def _kernel_build() -> tuple:
+    """The source of _leapfrog.c, the command that compiles it from standard
+    input, and the path its library is cached at.  Raises OSError when the
+    source is missing or the interpreter names no compiler, ValueError when
+    the name does not parse."""
+    source = _SOURCE.read_bytes()
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc:
+        raise FileNotFoundError("the interpreter names no C compiler")
+    command = [*cc, *_CFLAGS, "-x", "c", "-", "-lm"]
+    key = hashlib.sha256(b"\0".join([source, *(arg.encode() for arg in command)]))
+    return source, command, _CACHE_DIR / f"_leapfrog-{key.hexdigest()[:16]}.so"
+
+
+def _kernel_library() -> Path:
+    """The cached library of _leapfrog.c, compiled first unless an intact
+    one is cached.  Each library ends with the SHA-256 of the bytes before
+    it, checked before it is loaded: a truncated or altered library would
+    crash the loader, so it is rebuilt instead.  A library is built in a
+    temporary directory beside the cache and moved into place, so no process
+    sees a partly written file.  Raises what :func:`_kernel_build` raises,
+    OSError and subprocess.SubprocessError (a failed compile, or one past
+    ``_COMPILE_TIMEOUT_S``, killed and waited for)."""
+    source, command, lib = _kernel_build()
+    try:
+        data = lib.read_bytes()
+    except FileNotFoundError:
+        data = b""
+    if data[-32:] != hashlib.sha256(data[:-32]).digest():
+        lib.parent.mkdir(exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
+            built = Path(tmp, lib.name)
+            subprocess.run([*command, "-o", str(built)], input=source, capture_output=True,
+                           timeout=_COMPILE_TIMEOUT_S, check=True)
+            with open(built, "ab") as fh:  # the loader reads only what the headers point to
+                fh.write(hashlib.sha256(built.read_bytes()).digest())
+            os.replace(built, lib)
+    return lib
+
+
+@functools.cache
+def _compiled_leapfrog():
+    """:func:`_leapfrog` run by the compiled kernel, with the same arguments,
+    results and StepSizeError, or None: when the kernel cannot be built or
+    loaded, or when it differs from :func:`_leapfrog` in any bit of the
+    self-test.  Built and checked once per process, on first use."""
+    try:
+        kernel = ctypes.CDLL(str(_kernel_library())).fieldcqed_leapfrog
+    except (AttributeError, OSError, ValueError, subprocess.SubprocessError):
+        return None
+    row = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    kernel.argtypes = [*[ctypes.c_double] * 4, ctypes.POINTER(ctypes.c_double), row, row,
+                       ctypes.c_long]
+    kernel.restype = ctypes.c_long
+
+    def leapfrog(p, dt, f, v, phi_out, n_out, first_step):
+        # Python computes in double on int and float parameters alone; on
+        # NumPy float32 or longdouble ones it rounds otherwise
+        if not all(isinstance(x, (int, float)) for x in (p.EC, p.EJ, p.ng)):
+            return _leapfrog(p, dt, f, v, phi_out, n_out, first_step)
+        if len(n_out) != len(phi_out):
+            raise DimensionMismatchError("the phase and charge blocks differ in length")
+        state = (ctypes.c_double * 2)(f, v)
+        j = kernel(p.EC, p.EJ, p.ng, dt, state, phi_out, n_out, len(phi_out))
+        if j >= 0:
+            raise StepSizeError(f"trajectory diverged at step {first_step + j}; reduce dt")
+        return state[0], state[1]
+
+    return leapfrog if _outcomes(leapfrog) == _outcomes(_leapfrog) else None
+
+
+def _outcomes(leapfrog) -> list:
+    """What ``leapfrog`` gives on each run of ``_SELF_TEST``: the bytes of
+    the final state or the StepSizeError message, and of both output rows."""
+    found = []
+    for p, dt, f, v, steps in _SELF_TEST:
+        phi, n = np.zeros(steps), np.zeros(steps)
+        try:
+            end = np.array(leapfrog(p, dt, f, v, phi, n, 1)).tobytes()
+        except StepSizeError as err:
+            end = str(err)
+        found.append((end, phi.tobytes(), n.tobytes()))
+    return found
+
+
 def _run_leapfrog(p: TransmonParams, s0: ClassicalState, t: np.ndarray, dt: float,
                   split: int, phi, n, energy, cos) -> tuple:
     """The leapfrog from ``s0`` over ``t`` in blocks of ``qops._BLOCK`` steps.
@@ -162,13 +277,14 @@ def _run_leapfrog(p: TransmonParams, s0: ClassicalState, t: np.ndarray, dt: floa
     arrays are reused; ``energy`` may be ``n`` and ``cos`` may be ``phi``.
     Returns the energy-error envelopes of the samples before ``split`` and
     from it, and their scale; raises StepSizeError when either exceeds 1% of it."""
+    leapfrog = _compiled_leapfrog() or _leapfrog
     e0 = _initial_energy(p, s0)
     halves = [(e0, e0), (e0, e0)]  # running (max, min) before and from the split
     f, v = float(s0.phi), float(s0.n)
     for lo in range(1, t.size, _BLOCK):
         size = min(_BLOCK, t.size - lo)
         phi_k, n_k, e, c = (a[(lo - 1) % a.size:][:size] for a in (phi, n, energy, cos))
-        f, v = _leapfrog(p, dt, f, v, phi_k, n_k, lo)
+        f, v = leapfrog(p, dt, f, v, phi_k, n_k, lo)
         np.subtract(n_k, p.ng, out=e)
         np.square(e, out=e)
         e *= 4.0 * p.EC
@@ -207,6 +323,12 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
     instead of drifting.  A drift beyond 1% of the initial energy scale
     raises StepSizeError.
 
+    The steps run in the compiled ``_leapfrog.c`` (built on the first run of
+    the process, or loaded from ``__pycache__`` beside this module) when it
+    passes its self-test against the Python loop :func:`_leapfrog`, and in
+    that loop otherwise, silently; the series, metadata and errors are the
+    same bits either way.
+
     Memory: the three output series plus one block of ``qops._BLOCK``
     cosines, and before them the grid spacing that :func:`_uniform_dt`
     averages; :func:`_run_leapfrog` reads the drift from running extremes.
@@ -241,6 +363,10 @@ def secular_energy_ratio(p: TransmonParams, s0: ClassicalState, t_grid) -> float
     points, and NumericError when the first-half envelope is exactly 0: E_J
     = 0 conserves the energy exactly, and with 3 points the first half is
     the initial sample alone.
+
+    Runs the same kernel as :func:`classical_trajectory`: compiled when it
+    can be built and passes its self-test, else the Python loop, with the
+    same ratio and errors bit for bit.
 
     Memory: the grid spacing that :func:`_uniform_dt` averages, freed
     before :func:`_run_leapfrog` reuses two blocks of ``qops._BLOCK``

@@ -535,6 +535,23 @@ class TestMainExitCodes:
             "and data type float64\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("result", [
+        cli.RunResult({"level": float("inf")}, tables={"t.csv": (["x"], [[1.0]])}),
+        cli.RunResult({"level": 1.0}, tables={"t.csv": (["x"], [[1.0]])},
+                      reports={"r.json": {"values": [0.5, float("nan")]}}),
+    ], ids=["summary-inf", "report-nan"])
+    def test_non_finite_report_value_is_a_numeric_error(self, tmp_path, capsys, monkeypatch,
+                                                        result):
+        # JSON has no Infinity or NaN; the CSV, written first, must not be left behind
+        monkeypatch.setitem(cli.SUBCOMMANDS, "transmon", cli.SUBCOMMANDS["transmon"]._replace(
+            run=lambda cfg, verbose: result))
+        out = tmp_path / "out"
+        assert cli.main(["transmon", "--config", write_config(tmp_path, MINIMAL_TRANSMON),
+                         "--out", str(out)]) == 3
+        name = "summary.json" if "r.json" not in result.reports else "r.json"
+        assert capsys.readouterr().err == f"error: {name} would hold a non-finite number\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode, payload, problem", [
         ("couple", {"transmon": {"E_C": 0.3, "E_J": 15}, "line": MODES_LINE,
                     "coupling": {"beta": 0.2, "z0": 0.02}},

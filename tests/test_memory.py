@@ -26,38 +26,48 @@ def _has_vmhwm() -> bool:
         return False
 
 
-def test_leapfrog_peak_is_its_outputs_and_one_block():
+# the compiled kernel where it builds, then the Python loop it falls back to
+LEAPFROG_PATHS = (dyn._compiled_leapfrog, lambda: None)
+
+
+def test_leapfrog_peak_is_its_outputs_and_one_block(monkeypatch):
     # tracemalloc slows the interpreted loop about 8x, so 1e5 steps
     p = TransmonParams(EC=1.0, EJ=100.0)
     period = 2 * np.pi / np.sqrt(8 * p.EC * p.EJ)
     t = np.linspace(0.0, 1000 * period, 100_001)
-    tracemalloc.start()
-    try:
-        traj = dyn.classical_trajectory(p, dyn.ClassicalState(phi=1.0, n=0.0), t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert traj.series["energy"].nbytes == t.nbytes
-    # phi, n and energy, the spacing _uniform_dt averages, and one energy block
-    assert peak <= 4 * t.nbytes + _BLOCK * 8
+    for path in LEAPFROG_PATHS:
+        path()  # a first call builds the kernel outside the traced run
+        monkeypatch.setattr(dyn, "_compiled_leapfrog", path)
+        tracemalloc.start()
+        try:
+            traj = dyn.classical_trajectory(p, dyn.ClassicalState(phi=1.0, n=0.0), t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.series["energy"].nbytes == t.nbytes
+        # phi, n and energy, the spacing _uniform_dt averages, and one energy block
+        assert peak <= 4 * t.nbytes + _BLOCK * 8
 
 
-def test_secular_ratio_peak_does_not_grow_with_the_run():
+def test_secular_ratio_peak_does_not_grow_with_the_run(monkeypatch):
     p = TransmonParams(EC=1.0, EJ=100.0)
     period = 2 * np.pi / np.sqrt(8 * p.EC * p.EJ)
     grids = [np.linspace(0.0, k * 1000 * period, k * 100_000 + 1) for k in (1, 2)]
-    peaks = []
-    for t in grids:
-        tracemalloc.start()
-        try:
-            dyn.secular_energy_ratio(p, dyn.ClassicalState(phi=1.0, n=0.0), t)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # the spacing _uniform_dt averages is the one array of the run's length;
-    # the two blocks are the same at both lengths
-    assert peaks[1] - peaks[0] <= grids[1].nbytes - grids[0].nbytes
-    assert peaks[1] <= grids[1].nbytes + 2 * _BLOCK * 8
+    for path in LEAPFROG_PATHS:
+        path()
+        monkeypatch.setattr(dyn, "_compiled_leapfrog", path)
+        peaks = []
+        for t in grids:
+            tracemalloc.start()
+            try:
+                dyn.secular_energy_ratio(p, dyn.ClassicalState(phi=1.0, n=0.0), t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the spacing _uniform_dt averages is the one array of the run's length;
+        # the two blocks are the same at both lengths
+        assert peaks[1] - peaks[0] <= grids[1].nbytes - grids[0].nbytes
+        assert peaks[1] <= grids[1].nbytes + 2 * _BLOCK * 8
 
 
 def test_check_keeps_no_long_trajectory(monkeypatch):
