@@ -27,7 +27,7 @@ from .errors import (
     NumericError,
     StepSizeError,
 )
-from .qops import _BLOCK, Operator, StateVector, expectation_series, spectrum
+from .qops import _BLOCK, Operator, StateVector, expectation, spectrum
 from .transmon import (
     TransmonParams,
     build_charge_hamiltonian,
@@ -96,10 +96,15 @@ def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory
     propagator applied to the initial state: refining the grid never
     changes values at shared times.  Records ``norm``, ``energy`` and the
     expectation of each of ``observables`` under its own name, nothing
-    else; a population is a diagonal projector observable.  Each
-    expectation series is one matrix product of the operator with all
-    sampled states plus a column dot product (a row scaling when the
-    operator is diagonal).
+    else; a population is a diagonal projector observable.
+
+    Memory: the series, the eigenpairs and one chunk of states at a time.
+    :meth:`fieldcqed.qops.Spectrum.propagate` streams the states in chunks
+    of fixed, padded width, and each chunk is reduced to its samples of
+    every series before the next is built; each expectation is one matrix
+    product of the operator with the chunk plus a column dot product (a row
+    scaling when the operator is diagonal, decided once per call).  So the
+    series have the same bits under any BLAS thread count.
     """
     t = time_grid(t_grid)
     op_h = _as_operator(h)
@@ -112,25 +117,47 @@ def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory
         if op.dim != psi0.dim:
             raise DimensionMismatchError(f"observable {name!r} dimension mismatch")
 
-    # the eigenvectors are not needed past propagation, so none are kept
-    states = spectrum(op_h).propagate(psi0.amps, t)
-    if not np.all(np.isfinite(states.view(float))):
-        raise NumericError("evolution produced non-finite amplitudes")
-
-    series = {
-        "norm": np.linalg.norm(states, axis=0),
-        "energy": expectation_series(op_h.mat, states),
-    }
-    for name, op in observables.items():
-        series[name] = expectation_series(op.mat, states)
+    series = {name: np.empty(t.size) for name in ("norm", "energy", *observables)}
+    reducers = [(series["energy"], expectation(op_h.mat))]
+    reducers += [(series[name], expectation(op.mat)) for name, op in observables.items()]
+    for cols, states in spectrum(op_h).propagate(psi0.amps, t):
+        if not np.all(np.isfinite(states.view(float))):
+            raise NumericError("evolution produced non-finite amplitudes")
+        n = cols.stop - cols.start
+        series["norm"][cols] = np.linalg.norm(states, axis=0)[:n]
+        for out, reduce in reducers:
+            out[cols] = reduce(states)[:n]
     return Trajectory(times=t, series=series)
 
 
+# numpy sums a contiguous float64 array pairwise: it splits n > 128 entries
+# at n // 2 rounded down to a multiple of 8, and adds the parts of at most
+# 128 in one unrolled loop
+_PAIRWISE_LEAF = 128
+
+
 def _uniform_dt(t: np.ndarray) -> float:
-    dt = np.diff(t)
-    if abs(dt.max() - dt.min()) > 1e-9 * dt.mean():
+    """The spacing of the uniform grid ``t`` (sorted and finite, at least 2
+    points): ``float(np.diff(t).mean())`` bit for bit, with the same
+    ContractViolationError when the spacings spread by more than 1e-9 of
+    their mean.  The spacing is summed along numpy's pairwise tree down to
+    parts of at most ``max(qops._BLOCK, 128)`` spacings, and each part is
+    one ``np.add.reduce``, so no spacing array longer than a part exists."""
+    part = max(_BLOCK, _PAIRWISE_LEAF)
+    extremes = []
+
+    def tree_sum(lo: int, size: int):
+        if size > part:
+            half = size // 2 - size // 2 % 8
+            return tree_sum(lo, half) + tree_sum(lo + half, size - half)
+        dt = np.diff(t[lo:lo + size + 1])
+        extremes.extend((dt.max(), dt.min()))
+        return np.add.reduce(dt)
+
+    mean = tree_sum(0, t.size - 1) / (t.size - 1)
+    if abs(max(extremes) - min(extremes)) > 1e-9 * mean:
         raise ContractViolationError("the time grid must be uniformly spaced")
-    return float(dt.mean())
+    return float(mean)
 
 
 def _initial_energy(p: TransmonParams, s0: ClassicalState) -> float:
@@ -239,10 +266,6 @@ def _compiled_leapfrog():
     kernel.restype = ctypes.c_long
 
     def leapfrog(p, dt, f, v, phi_out, n_out, first_step):
-        # Python computes in double on int and float parameters alone; on
-        # NumPy float32 or longdouble ones it rounds otherwise
-        if not all(isinstance(x, (int, float)) for x in (p.EC, p.EJ, p.ng)):
-            return _leapfrog(p, dt, f, v, phi_out, n_out, first_step)
         if len(n_out) != len(phi_out):
             raise DimensionMismatchError("the phase and charge blocks differ in length")
         state = (ctypes.c_double * 2)(f, v)
@@ -330,8 +353,8 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
     same bits either way.
 
     Memory: the three output series plus one block of ``qops._BLOCK``
-    cosines, and before them the grid spacing that :func:`_uniform_dt`
-    averages; :func:`_run_leapfrog` reads the drift from running extremes.
+    cosines (:func:`_uniform_dt` holds one such block of the spacing before
+    them); :func:`_run_leapfrog` reads the drift from running extremes.
     A run whose series are not needed belongs in :func:`secular_energy_ratio`.
     """
     t = time_grid(t_grid)
@@ -368,16 +391,17 @@ def secular_energy_ratio(p: TransmonParams, s0: ClassicalState, t_grid) -> float
     can be built and passes its self-test, else the Python loop, with the
     same ratio and errors bit for bit.
 
-    Memory: the grid spacing that :func:`_uniform_dt` averages, freed
-    before :func:`_run_leapfrog` reuses two blocks of ``qops._BLOCK``
-    floats: the phases, overwritten by their cosines, and the charges,
-    overwritten by the energies.
+    Memory: nothing of the run's length beyond the caller's grid.
+    :func:`_uniform_dt` sums the spacing one block of ``qops._BLOCK`` at a
+    time, and :func:`_run_leapfrog` then reuses two such blocks of floats:
+    the phases, overwritten by their cosines, and the charges, overwritten
+    by the energies.
     """
     t = time_grid(t_grid)
     if t.size < 3:
         raise ContractViolationError(
             f"the secular energy ratio needs at least 3 time points, got {t.size}")
-    dt = _uniform_dt(t)  # before the blocks, so the spacing is not alive beside them
+    dt = _uniform_dt(t)
     phi = np.empty(min(_BLOCK, t.size - 1))
     n = np.empty(phi.size)
     first, second, _ = _run_leapfrog(p, s0, t, dt, t.size // 2, phi, n, n, phi)

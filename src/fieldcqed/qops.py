@@ -6,6 +6,11 @@ block coupled to a diagonal one through a rank-one term (the cavity-port
 bath's Hamiltonian and quadrature form), which returns the eigenvalues and
 the small block's rows only.  No other module calls an eigensolver.
 
+:meth:`Spectrum.propagate` streams the propagated states in chunks of time
+columns, each one padded product, so no caller holds every sample's state at
+once, and every state has the same bits at any chunking and under any BLAS
+thread count.
+
 Internally hbar = 1: Hamiltonians are expressed in angular-frequency units
 and time in the inverse units, so ``exp(-i H t)`` needs no extra constants.
 Operators are stored as dense numpy: float64 when the matrix is real,
@@ -15,6 +20,7 @@ complex128 otherwise.  Products of spaces are built only by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -148,6 +154,30 @@ def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y.view(complex).reshape(a.shape[:1] + x.shape[1:])
 
 
+# elements of one block (512 kB): a row block of the secular kernels, a
+# block of the leapfrog and of the spacing in dynamics, and the phases of
+# one chunk of Spectrum.propagate
+_BLOCK = 1 << 16
+# complex time columns of one product in Spectrum.propagate: padded to a
+# multiple of _COL_GROUP and at least _MIN_COLS.  OpenBLAS (0.3.31, Haswell
+# kernels) rounds every column of a product of such a width alike, whatever
+# the width and the thread count; in a product whose width leaves a partial
+# group, the last columns round otherwise, and differently under 1 and 2
+# threads.
+_COL_GROUP = 4
+_MIN_COLS = 16
+
+
+def _chunk_width(rows: int, n: int) -> int:
+    """Time columns per chunk of a propagation from ``n`` eigenvalues onto
+    ``rows`` rows: about ``_BLOCK`` phases, but no fewer columns than half
+    the rows.  Each product packs its rows x n factor once: at dim 1024
+    over 401 samples, chunks of 64 columns made evolve's products (its
+    eigensolve aside) a third slower, and chunks of 256 about a tenth."""
+    width = max(_BLOCK // max(n, 1), rows // 2)
+    return max(_MIN_COLS, width // _COL_GROUP * _COL_GROUP)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenpairs of a hermitian operator; ``vecs`` is real when it is.
@@ -161,11 +191,34 @@ class Spectrum:
     evals: np.ndarray
     vecs: np.ndarray
 
-    def propagate(self, amps: np.ndarray, times) -> np.ndarray:
-        """Columns ``exp(-i H t) amps`` for every t in ``times`` (rows x n_t)."""
+    def propagate(self, amps: np.ndarray, times):
+        """``exp(-i H t) amps`` for every t in ``times``, streamed in chunks.
+
+        Yields ``(cols, states)`` for consecutive slices ``cols`` of
+        ``times``: the first ``cols.stop - cols.start`` columns of ``states``
+        are the states at ``times[cols]``, and the rest are padding, the
+        state at t = 0.  Every chunk is one product, :func:`_chunk_width`
+        columns wide or, the last one, padded to a multiple of
+        ``_COL_GROUP`` columns and at least ``_MIN_COLS``.  So each state
+        has the same bits at any chunking and under any BLAS thread count,
+        and a caller that reduces each chunk before taking the next never
+        holds more than one chunk of states.
+        """
         # V^H amps as conj(V^T conj(amps)), so no conjugate copy of V is made
         c0 = _matmul(self.vecs.T, np.conj(amps)).conj()
-        phases = np.outer(-1j * self.evals, np.asarray(times, dtype=float))
+        times = np.asarray(times, dtype=float)
+        step = _chunk_width(*self.vecs.shape)
+        for lo in range(0, times.size, step):
+            t = times[lo:lo + step]
+            yield slice(lo, lo + t.size), self._chunk(c0, t)
+
+    def _chunk(self, c0: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``V diag(exp(-i E t)) c0`` on ``t`` padded with zeros to a
+        multiple of ``_COL_GROUP`` columns and at least ``_MIN_COLS``; the
+        phases are freed on return, before the next chunk allocates its own."""
+        padded = np.zeros(max(_MIN_COLS, -(-t.size // _COL_GROUP) * _COL_GROUP))
+        padded[:t.size] = t
+        phases = np.outer(-1j * self.evals, padded)
         np.exp(phases, out=phases)
         phases *= c0[:, None]
         return _matmul(self.vecs, phases)
@@ -193,9 +246,6 @@ def spectrum(h: Operator) -> Spectrum:
 
 
 _EPS = np.finfo(float).eps
-# elements of one block (512 kB): a row block of the secular kernels, and a
-# block of dynamics.classical_trajectory's energy pass
-_BLOCK = 1 << 16
 _MAX_SECULAR_ITERATIONS = 64
 
 
@@ -512,8 +562,9 @@ def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> Spectrum:
     return Spectrum(evals, vecs)
 
 
-def expectation_series(mat: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Re <s_t| mat |s_t> for every column s_t of the complex ``states``.
+def expectation(mat: np.ndarray):
+    """The function that gives Re <s_t| mat |s_t> for every column s_t of a
+    complex ``states`` array.
 
     One matrix product (a real one when ``mat`` is real) plus a column dot
     product on the real and imaginary parts, so no conjugate copy of
@@ -521,11 +572,17 @@ def expectation_series(mat: np.ndarray, states: np.ndarray) -> np.ndarray:
     is rounding.  A real ``mat`` with no nonzero off its diagonal scales the
     rows of ``states`` instead of the product: each entry of the product is
     then one rounded product plus exact zeros, so both give the same bits.
+    Which of the two applies is decided here, once for every ``states``.
     """
     d = np.diagonal(mat)
     if not np.iscomplexobj(mat) and np.count_nonzero(mat) == np.count_nonzero(d):
-        y = d[:, None] * states
+        apply = functools.partial(np.multiply, d[:, None])
     else:
-        y = _matmul(mat, states)
-    s = np.ascontiguousarray(states)
-    return np.einsum("it,it->t", s.view(float), y.view(float)).reshape(-1, 2).sum(axis=1)
+        apply = functools.partial(_matmul, mat)
+
+    def series(states: np.ndarray) -> np.ndarray:
+        y = apply(states)
+        s = np.ascontiguousarray(states)
+        return np.einsum("it,it->t", s.view(float), y.view(float)).reshape(-1, 2).sum(axis=1)
+
+    return series

@@ -37,6 +37,10 @@ class TransmonParams:
     sign: TunnelingSign = TunnelingSign.PLUS
 
     def __post_init__(self):
+        # Python floats, so every consumer (the leapfrog included) computes
+        # in double whatever scalar type was given
+        for name in ("EC", "EJ", "ng"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0 < self.EC < np.inf:
             raise ContractViolationError(f"EC must be positive and finite, got {self.EC}")
         if not 0 <= self.EJ < np.inf:

@@ -44,6 +44,12 @@ from fieldcqed.txline import (
 GHZ = 2 * np.pi * 1e9
 
 
+def propagated(spec, amps, times):
+    """Every state ``spec.propagate`` streams, as the columns of one array."""
+    return np.hstack([states[:, :cols.stop - cols.start]
+                      for cols, states in spec.propagate(amps, times)])
+
+
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -162,8 +168,8 @@ class TestEvolve:
         rng = np.random.default_rng(12)
         psi0 = StateVector.from_amplitudes(rng.normal(size=30) + 1j * rng.normal(size=30))
         spec = spectrum(h)
-        fwd = spec.propagate(psi0.amps, [7.3])[:, 0]
-        back = spec.propagate(fwd, [-7.3])[:, 0]
+        fwd = propagated(spec, psi0.amps, [7.3])[:, 0]
+        back = propagated(spec, fwd, [-7.3])[:, 0]
         assert np.linalg.norm(back - psi0.amps) < 1e-8
 
     def test_vacuum_rabi_period(self):
@@ -656,8 +662,8 @@ def test_spectral_paths_conserve_and_agree(dim, seed):
     real_spec, complex_spec = spectrum(h), spectrum(h_rot)
     assert np.isrealobj(real_spec.vecs) and np.iscomplexobj(complex_spec.vecs)
     assert np.max(np.abs(real_spec.evals - complex_spec.evals)) < 1e-12 * scale
-    direct = real_spec.propagate(psi0.amps, t)
-    rotated = complex_spec.propagate(phases * psi0.amps, t)
+    direct = propagated(real_spec, psi0.amps, t)
+    rotated = propagated(complex_spec, phases * psi0.amps, t)
     assert np.max(np.abs(phases.conj()[:, None] * rotated - direct)) < 1e-11
 
     for op in (h, h_rot):

@@ -100,13 +100,19 @@ def test_compiled_and_python_loops_agree_bit_for_bit(ec, ej, ng, dt, phi0, n0, s
     assert results[0] == results[1]
 
 
-# the Python loop's float32 phase overflows when it is compared with 1e150
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("dtype", [np.float32, np.longdouble])
-def test_parameters_python_rounds_otherwise_take_the_python_loop(kernel, dtype):
+def test_numpy_scalar_parameters_run_in_double_on_both_loops(kernel, dtype):
     p = TransmonParams(EC=dtype(0.3), EJ=dtype(15.0), ng=dtype(0.37))
+    assert [type(x) for x in (p.EC, p.EJ, p.ng)] == [float] * 3
+    assert (p.EC, p.EJ, p.ng) == (float(dtype(0.3)), float(dtype(15.0)), float(dtype(0.37)))
     s0 = ClassicalState(0.3, 0.1)
-    assert run(kernel, p, 2e-3, s0, 50) == run(dynamics._leapfrog, p, 2e-3, s0, 50)
+    want = run(dynamics._leapfrog, p, 2e-3, s0, 50)
+    # the compiled kernel runs them itself: the Python loop is not called
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_leapfrog", None)
+        assert run(kernel, p, 2e-3, s0, 50) == want
+    double = TransmonParams(EC=float(dtype(0.3)), EJ=float(dtype(15.0)), ng=float(dtype(0.37)))
+    assert run(dynamics._leapfrog, double, 2e-3, s0, 50) == want
 
 
 def test_unequal_blocks_are_refused(kernel):

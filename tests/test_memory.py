@@ -1,5 +1,6 @@
 """Memory contracts of the classical leapfrog, of the streamed secular
-energy ratio, of the Ehrenfest check and of the ``check`` run."""
+energy ratio, of the streamed propagations of ``evolve`` and
+``decay_simulation``, of the Ehrenfest check and of the ``check`` run."""
 
 import os
 import subprocess
@@ -11,10 +12,17 @@ import numpy as np
 import pytest
 
 import fieldcqed
+from fieldcqed import bath as bath_mod
 from fieldcqed import checks
 from fieldcqed import dynamics as dyn
 from fieldcqed.qops import _BLOCK
-from fieldcqed.transmon import TransmonParams, solve
+from fieldcqed.transmon import (
+    TransmonParams,
+    build_charge_hamiltonian,
+    charge_number_op,
+    sin_phi_op,
+    solve,
+)
 
 _STATUS = Path("/proc/self/status")
 
@@ -45,8 +53,9 @@ def test_leapfrog_peak_is_its_outputs_and_one_block(monkeypatch):
         finally:
             tracemalloc.stop()
         assert traj.series["energy"].nbytes == t.nbytes
-        # phi, n and energy, the spacing _uniform_dt averages, and one energy block
-        assert peak <= 4 * t.nbytes + _BLOCK * 8
+        # phi, n and energy and one block of cosines (the block of spacings
+        # _uniform_dt sums is freed before them), plus interpreter objects
+        assert peak <= 3 * t.nbytes + _BLOCK * 8 + 2**16
 
 
 def test_secular_ratio_peak_does_not_grow_with_the_run(monkeypatch):
@@ -64,10 +73,10 @@ def test_secular_ratio_peak_does_not_grow_with_the_run(monkeypatch):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # the spacing _uniform_dt averages is the one array of the run's length;
-        # the two blocks are the same at both lengths
-        assert peaks[1] - peaks[0] <= grids[1].nbytes - grids[0].nbytes
-        assert peaks[1] <= grids[1].nbytes + 2 * _BLOCK * 8
+        # no array of the run's length: _uniform_dt sums the spacing one
+        # block at a time, and the leapfrog reuses two blocks
+        assert peaks[1] - peaks[0] <= 2**16
+        assert peaks[1] <= 2 * _BLOCK * 8 + 2**16
 
 
 def test_check_keeps_no_long_trajectory(monkeypatch):
@@ -86,9 +95,11 @@ def test_check_keeps_no_long_trajectory(monkeypatch):
 
 
 def test_ehrenfest_check_holds_no_unread_series():
-    # the 16001-sample run of check: 41 x 16001 complex states (10.0 MiB),
-    # the observable products and four series; recording a population per
-    # charge state besides, as evolve once did, peaked at 25.8 MiB
+    # the 16001-sample run of check: four series (0.5 MiB) and one chunk of
+    # states with its observable products, 3.6 MiB in all; holding all
+    # 41 x 16001 complex states (10.0 MiB) and their products peaked at
+    # 20.9 MiB, and recording a population per charge state besides, as
+    # evolve once did, at 25.8 MiB
     p = TransmonParams(EC=0.3, EJ=15.0, n_cutoff=20)
     s = solve(p)
     psi0 = dyn.StateVector.from_amplitudes(s.eigvecs[:, 0] + 1j * s.eigvecs[:, 1])
@@ -99,7 +110,45 @@ def test_ehrenfest_check_holds_no_unread_series():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 23 * 2**20
+    assert peak < 4 * 2**20
+
+
+def _peaks(run, grids) -> list:
+    """tracemalloc peak of ``run(t)`` for each grid ``t``, after a warm-up."""
+    run(grids[0][:3])
+    peaks = []
+    for t in grids:
+        tracemalloc.start()
+        try:
+            run(t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_evolve_peak_grows_only_by_its_series():
+    # dim 41 over 8001 and 16001 samples: holding the states would add
+    # 41 x 8000 complex amplitudes (5.0 MiB) to the longer run
+    p = TransmonParams(EC=0.3, EJ=15.0, n_cutoff=20)
+    h = build_charge_hamiltonian(p)
+    psi0 = dyn.StateVector.basis_state(p.dim, p.n_cutoff)
+    obs = {"n": charge_number_op(p.n_cutoff), "sin": sin_phi_op(p.n_cutoff, p.sign)}
+    grids = [np.linspace(0.0, 2.0 * k, 8000 * k + 1) for k in (1, 2)]
+    peaks = _peaks(lambda t: dyn.evolve(h, psi0, t, obs), grids)
+    # norm, energy and two observables, 8 bytes a sample each
+    assert peaks[1] - peaks[0] <= 4 * (grids[1].nbytes - grids[0].nbytes) + 2**16
+
+
+def test_decay_peak_grows_only_by_its_series():
+    # 20 cavity modes and 1963 bins over 601 and 2401 samples: holding the
+    # phases would add 1983 x 1800 complex entries (54 MiB) to the longer run
+    part = bath_mod.RegionPartition(1.0, 1.0, oracle_total_length=10.0)
+    b = bath_mod.port_continuum(bath_mod.cavity_modes_1d(part, 20), 19.63, 1963)
+    grids = [np.linspace(0.0, 30.0 * k, 600 * k + 1) for k in (1, 4)]
+    peaks = _peaks(lambda t: bath_mod.decay_simulation(b, 2, t, coupling_scale=0.224), grids)
+    # the population and the norm series, 8 bytes a sample each
+    assert peaks[1] - peaks[0] <= 2 * (grids[1].nbytes - grids[0].nbytes) + 2**16
 
 
 @pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
@@ -124,4 +173,6 @@ def test_check_run_peak_above_the_imported_package(tmp_path):
                           capture_output=True, text=True, timeout=120, env=env)
     rc, growth_mb = proc.stdout.splitlines()[-1].split()
     assert rc == "0", proc.stdout + proc.stderr
-    assert float(growth_mb) < 33.0
+    # 18.3-18.5 MB measured; a whole rows x samples array of states in
+    # evolve or decay_simulation put it at 28.1-28.4
+    assert float(growth_mb) < 22.0

@@ -20,7 +20,7 @@ from fieldcqed import (
     annihilation_op,
 )
 from fieldcqed import qops
-from fieldcqed.qops import Spectrum, _is_hermitian, expectation_series, spectrum
+from fieldcqed.qops import Spectrum, _is_hermitian, expectation, spectrum
 from fieldcqed.transmon import TransmonParams, level_sweep, sin_phi_op, solve
 
 
@@ -33,6 +33,13 @@ def random_hermitian(dim, seed):
 def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     return StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def first_state(spec, amps, t):
+    """exp(-i H t) amps: the first column of the one chunk propagate yields."""
+    (cols, states), = spec.propagate(amps, [t])
+    assert cols == slice(0, 1)
+    return states[:, 0]
 
 
 class TestOperator:
@@ -161,7 +168,7 @@ class TestEvolveStep:
 
     @staticmethod
     def step(h, amps, dt):
-        return spectrum(h).propagate(amps, [dt])[:, 0]
+        return first_state(spectrum(h), amps, dt)
 
     def test_matches_expm(self):
         # independent oracle: dense matrix exponential from scipy
@@ -198,30 +205,30 @@ class TestEvolveStep:
         psi = random_state(40, 18)
         real = self.step(h, psi.amps, 2.3)
         # the same matrix through the complex hermitian solver
-        complex_path = Spectrum(*eigh(h.mat.astype(complex))).propagate(psi.amps, [2.3])[:, 0]
+        complex_path = first_state(Spectrum(*eigh(h.mat.astype(complex))), psi.amps, 2.3)
         assert np.linalg.norm(real - complex_path) < 1e-12
 
 
 class TestExpectation:
-    """expectation_series against the direct <psi|op|psi>."""
+    """expectation against the direct <psi|op|psi>."""
 
     def test_hermitian_is_real(self):
         h = random_hermitian(30, 21)
         psi = random_state(30, 22)
         direct = np.vdot(psi.amps, h.mat @ psi.amps)
         assert abs(direct.imag) < 1e-12
-        series = expectation_series(h.mat, psi.amps[:, None])
+        series = expectation(h.mat)(psi.amps[:, None])
         assert series.shape == (1,)
         assert series[0] == pytest.approx(direct.real, rel=1e-12)
 
     def test_number_in_basis_state(self):
         n = np.diag(np.arange(6.0))
         psi = StateVector.basis_state(6, 4)
-        assert expectation_series(n, psi.amps[:, None])[0] == pytest.approx(4.0, abs=1e-15)
+        assert expectation(n)(psi.amps[:, None])[0] == pytest.approx(4.0, abs=1e-15)
 
 
 def _product_series(mat, states):
-    """expectation_series through the matrix product, for any ``mat``."""
+    """expectation through the matrix product, for any ``mat``."""
     y = qops._matmul(mat, states)
     s = np.ascontiguousarray(states)
     return np.einsum("it,it->t", s.view(float), y.view(float)).reshape(-1, 2).sum(axis=1)
@@ -240,13 +247,13 @@ def _diagonal_and_states(draw):
 
 
 class TestDiagonalExpectation:
-    """The elementwise path of expectation_series against the product."""
+    """The elementwise path of expectation against the product."""
 
     @given(case=_diagonal_and_states())
     def test_matches_the_product_bit_for_bit(self, case):
         diag, states = case
         mat = np.diag(diag)
-        got = expectation_series(mat, states)
+        got = expectation(mat)(states)
         want = _product_series(mat, states)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -259,7 +266,7 @@ class TestDiagonalExpectation:
         want = _product_series(mat, states)
         product, calls = qops._matmul, []
         monkeypatch.setattr(qops, "_matmul", lambda a, x: calls.append(1) or product(a, x))
-        assert np.array_equal(expectation_series(mat, states), want)
+        assert np.array_equal(expectation(mat)(states), want)
         assert len(calls) == products
 
 
