@@ -281,6 +281,11 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
     population before the next is built, so the population has the same
     bits under any BLAS thread count.
 
+    Time: the secular solve and the phases of the propagation dominate; the
+    elementwise parts of both (the secular denominators and ``exp(-i mu
+    t)``) run in the compiled kernel library when it is trusted, with the
+    same bits as their NumPy references (:mod:`fieldcqed.qops`).
+
     Returns the total cavity population P(t) plus the golden-rule rate
     from the resonant bin (always) and a log-linear rate fit over
     0.1 < P < 0.9 when at least 3 samples fall in that window.  When the

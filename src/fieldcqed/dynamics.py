@@ -1,26 +1,19 @@
 """Time evolution: exact unitary propagation of finite Hamiltonians,
 symplectic classical transmon trajectories (their step loop compiled from
-``_leapfrog.c`` when a C compiler is at hand), and the Ehrenfest identity
+``_kernels.c`` when a C compiler is at hand), and the Ehrenfest identity
 check connecting the two pictures."""
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import importlib.resources
 import math
-import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     ContractViolationError,
     DimensionMismatchError,
@@ -191,17 +184,9 @@ def _leapfrog(p: TransmonParams, dt: float, f: float, v: float, phi_out, n_out,
     return f, v
 
 
-# _leapfrog.c repeats _leapfrog in C.  It is compiled on first use by the
-# interpreter's own compiler and cached in __pycache__ beside this module,
-# under a name that hashes the source and the compile command;
-# -ffp-contract=off keeps every product and sum its own rounding, as in Python.
-_SOURCE = importlib.resources.files(__package__) / "_leapfrog.c"
-_CACHE_DIR = Path(__file__).with_name("__pycache__")
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_COMPILE_TIMEOUT_S = 120.0
-
-# (params, dt, phi0, n0, steps) of the self-test: bounded, phases past 1e6
-# (sin's argument reduction), kicked past 1e150, and a free rotor at exactly 1e150
+# (params, dt, phi0, n0, steps) of the self-test of the compiled kernel:
+# bounded, phases past 1e6 (sin's argument reduction), kicked past 1e150,
+# and a free rotor at exactly 1e150
 _SELF_TEST = (
     (TransmonParams(EC=0.3, EJ=15.0, ng=0.37), 2e-3, 0.3, 0.1, 64),
     (TransmonParams(EC=1.0, EJ=100.0, ng=0.1), 1e-2, -2.0, 1e7, 64),
@@ -210,60 +195,18 @@ _SELF_TEST = (
 )
 
 
-def _kernel_build() -> tuple:
-    """The source of _leapfrog.c, the command that compiles it from standard
-    input, and the path its library is cached at.  Raises OSError when the
-    source is missing or the interpreter names no compiler, ValueError when
-    the name does not parse."""
-    source = _SOURCE.read_bytes()
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    if not cc:
-        raise FileNotFoundError("the interpreter names no C compiler")
-    command = [*cc, *_CFLAGS, "-x", "c", "-", "-lm"]
-    key = hashlib.sha256(b"\0".join([source, *(arg.encode() for arg in command)]))
-    return source, command, _CACHE_DIR / f"_leapfrog-{key.hexdigest()[:16]}.so"
-
-
-def _kernel_library() -> Path:
-    """The cached library of _leapfrog.c, compiled first unless an intact
-    one is cached.  Each library ends with the SHA-256 of the bytes before
-    it, checked before it is loaded: a truncated or altered library would
-    crash the loader, so it is rebuilt instead.  A library is built in a
-    temporary directory beside the cache and moved into place, so no process
-    sees a partly written file.  Raises what :func:`_kernel_build` raises,
-    OSError and subprocess.SubprocessError (a failed compile, or one past
-    ``_COMPILE_TIMEOUT_S``, killed and waited for)."""
-    source, command, lib = _kernel_build()
-    try:
-        data = lib.read_bytes()
-    except FileNotFoundError:
-        data = b""
-    if data[-32:] != hashlib.sha256(data[:-32]).digest():
-        lib.parent.mkdir(exist_ok=True)
-        with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
-            built = Path(tmp, lib.name)
-            subprocess.run([*command, "-o", str(built)], input=source, capture_output=True,
-                           timeout=_COMPILE_TIMEOUT_S, check=True)
-            with open(built, "ab") as fh:  # the loader reads only what the headers point to
-                fh.write(hashlib.sha256(built.read_bytes()).digest())
-            os.replace(built, lib)
-    return lib
-
-
 @functools.cache
 def _compiled_leapfrog():
     """:func:`_leapfrog` run by the compiled kernel, with the same arguments,
     results and StepSizeError, or None: when the kernel cannot be built or
     loaded, or when it differs from :func:`_leapfrog` in any bit of the
     self-test.  Built and checked once per process, on first use."""
-    try:
-        kernel = ctypes.CDLL(str(_kernel_library())).fieldcqed_leapfrog
-    except (AttributeError, OSError, ValueError, subprocess.SubprocessError):
+    row = _kernels.array(1, writeable=True)
+    kernel = _kernels.function("fieldcqed_leapfrog", [
+        *[ctypes.c_double] * 4, ctypes.POINTER(ctypes.c_double), row, row, ctypes.c_long],
+        ctypes.c_long)
+    if kernel is None:
         return None
-    row = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    kernel.argtypes = [*[ctypes.c_double] * 4, ctypes.POINTER(ctypes.c_double), row, row,
-                       ctypes.c_long]
-    kernel.restype = ctypes.c_long
 
     def leapfrog(p, dt, f, v, phi_out, n_out, first_step):
         if len(n_out) != len(phi_out):
@@ -346,7 +289,7 @@ def classical_trajectory(p: TransmonParams, s0: ClassicalState, t_grid) -> Traje
     instead of drifting.  A drift beyond 1% of the initial energy scale
     raises StepSizeError.
 
-    The steps run in the compiled ``_leapfrog.c`` (built on the first run of
+    The steps run in the compiled ``_kernels.c`` (built on the first run of
     the process, or loaded from ``__pycache__`` beside this module) when it
     passes its self-test against the Python loop :func:`_leapfrog`, and in
     that loop otherwise, silently; the series, metadata and errors are the

@@ -11,6 +11,13 @@ columns, each one padded product, so no caller holds every sample's state at
 once, and every state has the same bits at any chunking and under any BLAS
 thread count.
 
+Two elementwise loops run in the compiled kernel library (``_kernels.c``,
+loaded by ``_kernels``) when it builds and passes its self-test: the phases
+of each propagation chunk (:func:`_phases`) and the denominators of the
+secular function (:func:`_denominators`).  Each repeats its NumPy reference
+operation for operation, so the results have the same bits either way; the
+matrix products and sums stay in NumPy and BLAS.
+
 Internally hbar = 1: Hamiltonians are expressed in angular-frequency units
 and time in the inverse units, so ``exp(-i H t)`` needs no extra constants.
 Operators are stored as dense numpy: float64 when the matrix is real,
@@ -20,6 +27,7 @@ complex128 otherwise.  Products of spaces are built only by
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,6 +36,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dstevd
 
+from . import _kernels
 from .errors import ContractViolationError, DimensionMismatchError, NumericError
 
 _HERM_TOL = 1e-12
@@ -203,6 +212,10 @@ class Spectrum:
         has the same bits at any chunking and under any BLAS thread count,
         and a caller that reduces each chunk before taking the next never
         holds more than one chunk of states.
+
+        The phases ``exp(-i E t)`` of a chunk come from the compiled
+        :func:`_compiled_phases` when it is trusted, else from
+        :func:`_phases`, bit for bit the same; ``evals`` are float64.
         """
         # V^H amps as conj(V^T conj(amps)), so no conjugate copy of V is made
         c0 = _matmul(self.vecs.T, np.conj(amps)).conj()
@@ -218,10 +231,89 @@ class Spectrum:
         phases are freed on return, before the next chunk allocates its own."""
         padded = np.zeros(max(_MIN_COLS, -(-t.size // _COL_GROUP) * _COL_GROUP))
         padded[:t.size] = t
-        phases = np.outer(-1j * self.evals, padded)
-        np.exp(phases, out=phases)
+        phases = (_compiled_phases() or _phases)(self.evals, padded)
         phases *= c0[:, None]
         return _matmul(self.vecs, phases)
+
+
+def _phases(evals: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``exp(-i E t)`` with the eigenvalues ``evals`` along the rows and the
+    times ``t`` along the columns: the reference of the compiled
+    :func:`_compiled_phases`."""
+    phases = np.outer(-1j * evals, t)
+    return np.exp(phases, out=phases)
+
+
+def _denominators(q: np.ndarray, qo: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """``1 / ((q[j] - qo[r]) - eta[r])`` with r along the rows and j along
+    the columns: the reference of the compiled :func:`_compiled_denominators`."""
+    inv = q - qo[:, None]
+    inv -= eta[:, None]
+    return np.reciprocal(inv, out=inv)
+
+
+def _same_bytes(kernel, reference, cases) -> bool:
+    """Whether ``kernel`` gives the dtype, shape and bytes of ``reference``
+    on each argument tuple of ``cases``; floating-point warnings are silenced."""
+    with np.errstate(all="ignore"):
+        results = [(kernel(*args), reference(*args)) for args in cases]
+    return all((got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+               for got, want in results)
+
+
+@functools.cache
+def _compiled_phases():
+    """:func:`_phases` run by ``fieldcqed_phases`` of the kernel library
+    (float64 arguments, ``evals`` and ``t`` contiguous), or None when the
+    library cannot be built or loaded or the kernel differs from
+    :func:`_phases` in any bit of its self-test: eigenvalues negative, zero
+    of both signs, subnormal and up to 1e10, times 0 (the padding) to 1e9,
+    so that |E t| reaches past glibc's large-argument reduction at 1.05e8.
+    Built and checked once per process, on first use."""
+    kernel = _kernels.function("fieldcqed_phases", [
+        _kernels.array(1), ctypes.c_long, _kernels.array(1), ctypes.c_long,
+        _kernels.array(2, writeable=True)])
+    if kernel is None:
+        return None
+
+    def phases(evals, t):
+        out = np.empty((evals.size, t.size), dtype=complex)
+        kernel(evals, evals.size, t, t.size, out.view(float))
+        return out
+
+    evals = np.concatenate([[-7.7e9, -3.5, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308],
+                            np.sqrt(np.arange(1.0, 10.0)) * 1.37e3 - 2.1e3, [1.3e8, 1e10]])
+    times = np.concatenate([[0.0, 0.0, 5e-324, 1e-3], np.linspace(0.1, 40.0, 13), [1.7e5, 1e9]])
+    cases = [(evals, times), (evals[:0], times), (evals, times[:0])]
+    return phases if _same_bytes(phases, _phases, cases) else None
+
+
+@functools.cache
+def _compiled_denominators():
+    """:func:`_denominators` run by ``fieldcqed_denominators`` of the kernel
+    library (contiguous float64 arguments), or None when the library cannot
+    be built or loaded or the kernel differs from :func:`_denominators` in
+    any bit of its self-test: rounded differences of both signs, zero
+    denominators (+inf and -inf), an overflowing difference and NaN.  Built
+    and checked once per process, on first use."""
+    kernel = _kernels.function("fieldcqed_denominators", [
+        _kernels.array(1), ctypes.c_long, _kernels.array(1), _kernels.array(1), ctypes.c_long,
+        _kernels.array(2, writeable=True)])
+    if kernel is None:
+        return None
+
+    def denominators(q, qo, eta):
+        if qo.shape != eta.shape:
+            raise DimensionMismatchError("the origin poles and the offsets differ in length")
+        out = np.empty((eta.size, q.size))
+        kernel(q, q.size, qo, eta, eta.size, out)
+        return out
+
+    q = np.concatenate([[-1.7e308, -0.0], np.sqrt(np.arange(1.0, 30.0)) * 3.7 - 9.0, [1.7e308]])
+    qo = np.concatenate([q[[1, 5, 9, 17, 31]], [0.0, np.nan]])
+    eta = np.array([0.0, -0.0, 1e-3 / 3, -2.5e-17, 0.37, 0.0, 1.0])
+    cases = [(q, qo, eta), (q[:0], qo, eta), (q, qo[:0], eta[:0])]
+    return denominators if _same_bytes(denominators, _denominators, cases) else None
 
 
 def spectrum(h: Operator) -> Spectrum:
@@ -266,9 +358,7 @@ def _secular_terms(q, w, g0, g1, origin, eta, left):
         lft = left[rows]
         cut, end = lft[0] + 1, lft[-1] + 1
         on_left = np.arange(cut, end) <= lft[:, None]
-        inv = q - q[origin[rows], None]
-        inv -= eta[rows, None]
-        np.reciprocal(inv, out=inv)
+        inv = (_compiled_denominators() or _denominators)(q, q[origin[rows]], eta[rows])
 
         def halves(x):  # sums of w*x over the left and the right half
             mixed = x[:, cut:end] * w[cut:end]
@@ -316,8 +406,14 @@ def secular_roots(poles: np.ndarray, weights: np.ndarray, g0: float = 0.0,
     bracket.  A root stops once |f| is at rounding level or its bracket
     has closed, and drops out of the later evaluations.  There must be at
     least one pole.
+
+    Each evaluation forms the reciprocal differences ``1 / ((q_j - q_origin)
+    - eta)`` of a row block in the compiled :func:`_compiled_denominators`
+    when it is trusted, else in :func:`_denominators`, bit for bit the same;
+    ``poles`` are copied once to a contiguous array when they are strided.
+    The sums over them stay matrix-vector products in BLAS.
     """
-    q = np.asarray(poles, dtype=float)
+    q = np.ascontiguousarray(poles, dtype=float)
     w = np.asarray(weights, dtype=float)
     m = q.size
     has_left, has_right = g1 > 0 or g0 < 0, g1 > 0 or g0 > 0

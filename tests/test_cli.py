@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
@@ -861,7 +864,8 @@ _OFTEN, _SOMETIMES, _RARELY = (st.sampled_from([True] * k + [False] * (8 - k))
                                for k in (7, 4, 1))
 
 
-def _draw_value(draw, schema: dict, wild: bool):
+def _draw_value(draw, schema: dict, wild: bool, limit: float = None):
+    """A value for ``schema``; a tame number stays within +-``limit`` too."""
     if wild and draw(_RARELY):
         return draw(_ANY)
     if "enum" in schema:
@@ -869,21 +873,26 @@ def _draw_value(draw, schema: dict, wild: bool):
     kind = schema.get("type")
     if kind == "object":
         required = schema.get("required", ())
-        value = {key: _draw_value(draw, sub, wild) for key, sub in schema["properties"].items()
+        value = {key: _draw_value(draw, sub, wild, limit)
+                 for key, sub in schema["properties"].items()
                  if draw(_SOMETIMES) or key in required and not (wild and draw(_RARELY))}
         if wild and draw(_RARELY):
             value[draw(st.text(max_size=4))] = draw(_ANY)
         return value
     if kind == "array":
-        return [_draw_value(draw, schema["items"], wild) for _ in range(draw(st.integers(1, 4)))]
+        return [_draw_value(draw, schema["items"], wild, limit)
+                for _ in range(draw(st.integers(1, 4)))]
     if kind == "integer":
         low = schema.get("minimum", -1)
         return draw(st.integers() if wild else st.integers(low, low + 6))
     if kind == "number":
         if wild:
             return draw(st.one_of(_EDGE_NUMBERS, st.floats()))
-        return draw(st.floats(min_value=schema.get("minimum", schema.get("exclusiveMinimum")),
-                              max_value=schema.get("maximum"),
+        low = schema.get("minimum", schema.get("exclusiveMinimum"))
+        if limit is not None and low is None:
+            low = -limit
+        high = schema.get("maximum", limit)
+        return draw(st.floats(min_value=low, max_value=high,
                               exclude_min="exclusiveMinimum" in schema,
                               allow_nan=False, allow_infinity=False))
     if kind == "boolean":
@@ -916,3 +925,70 @@ class TestConfigFuzz:
         else:
             assert isinstance(cfg, dict)
             assert all(block in cfg for block in cli.SUBCOMMANDS[cfg["mode"]].blocks)
+
+
+# Whole-run fuzzer: configs drawn as above, with every size field capped so
+# that each run stays small, go through main under every subcommand but
+# check, whose run is fixed.  A run ends 0, 2 or 3; an exit 2 prints one line per config
+# problem, an exit 3 one error line, neither a traceback, and neither
+# leaves an output directory.
+_RUN_MODES = [mode for mode in cli.SUBCOMMANDS if mode != "check"]
+_SIZE_CAPS = {("transmon", "n_cutoff"): 6, ("line", "n_modes"): 3,
+              ("bath", "n_cavity_modes"): 6, ("bath", "n_bins"): 48,
+              ("time_grid", "n_points"): 40, ("sweep", "n_points"): 9}
+
+
+def _capped(config: dict) -> dict:
+    config = json.loads(json.dumps(config))
+    for (block, key), cap in _SIZE_CAPS.items():
+        value = config.get(block, {}).get(key) if isinstance(config.get(block), dict) else None
+        if type(value) is int and value > cap:
+            config[block][key] = cap
+    cutoffs = config.get("coupling", {}).get("fock_cutoffs") \
+        if isinstance(config.get("coupling"), dict) else None
+    if isinstance(cutoffs, list):
+        config["coupling"]["fock_cutoffs"] = [min(c, 3) if type(c) is int else c
+                                              for c in cutoffs[:3]]
+    return config
+
+
+# the blocks a mode reads beyond those it requires
+_OPTIONAL_BLOCKS = {"transmon": ("sweep",), "couple": ("cross_section",),
+                    "evolve": ("initial_levels",), "bath": ("time_grid",)}
+
+
+@st.composite
+def _runs(draw):
+    """A subcommand and a capped config for it: the blocks it reads, drawn
+    by the schema fuzzer above, wild now and then, and with numbers within
+    +-1e3 two times in three, so that most runs get past their checks."""
+    mode = draw(st.sampled_from(_RUN_MODES))
+    wild, limit = draw(_RARELY), draw(st.sampled_from([None, 1e3, 1e3]))
+    config = {"mode": mode}
+    for name in (*cli.SUBCOMMANDS[mode].blocks, *_OPTIONAL_BLOCKS.get(mode, ())):
+        if name in cli.SUBCOMMANDS[mode].blocks or draw(_OFTEN):
+            config[name] = _draw_value(draw, cli._SCHEMA["properties"][name], wild, limit)
+    return _capped(config), mode
+
+
+@settings(max_examples=100)
+@given(run=_runs())
+def test_whole_runs_keep_the_exit_code_contract(run):
+    config, command = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp, "cfg.json"), Path(tmp, "out", "run")
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3), (code, lines)
+        if code == 0:
+            assert lines == [] and (out / "summary.json").is_file()
+        else:
+            assert not out.parent.exists()
+            prefix = "config error: " if code == 2 else "error: "
+            assert lines and all(line.startswith(prefix) for line in lines), lines
+            assert code == 2 or len(lines) == 1, lines

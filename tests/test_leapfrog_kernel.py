@@ -1,8 +1,10 @@
-"""The compiled leapfrog kernel (``_leapfrog.c``) against the Python loop
-``dynamics._leapfrog`` it repeats, and the fallback to that loop when the
-kernel cannot be built, loaded or trusted."""
+"""The compiled leapfrog kernel (in ``_kernels.c``) against the Python loop
+``dynamics._leapfrog`` it repeats, and, for all three kernels of the
+library, the loader (``_kernels``) and the fallback to the Python and NumPy
+references when the library cannot be built, loaded or trusted."""
 
 import hashlib
+import json
 import os
 import shlex
 import shutil
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fieldcqed import cli, dynamics
+from fieldcqed import _kernels, cli, dynamics, qops
 from fieldcqed.dynamics import ClassicalState, classical_trajectory, secular_energy_ratio
 from fieldcqed.errors import DimensionMismatchError, NumericError, StepSizeError
 from fieldcqed.transmon import TransmonParams
@@ -37,16 +39,33 @@ def kernel():
     return compiled_kernel()
 
 
+# the self-tested wrapper of each kernel, by its C function's name
+KERNELS = {"fieldcqed_leapfrog": dynamics._compiled_leapfrog,
+           "fieldcqed_phases": qops._compiled_phases,
+           "fieldcqed_denominators": qops._compiled_denominators}
+
+
+def reload_kernels():
+    _kernels.loaded.cache_clear()
+    for wrapper in KERNELS.values():
+        wrapper.cache_clear()
+
+
+def trusted() -> dict:
+    """Whether each kernel is built, loaded and passes its self-test."""
+    return {name: wrapper() is not None for name, wrapper in KERNELS.items()}
+
+
 @pytest.fixture
 def empty_cache(tmp_path, monkeypatch):
-    """A function that points the loader at an empty cache and makes it run
-    again; after the test it runs again on the real cache."""
+    """A function that points the loader at an empty cache and makes every
+    kernel load again; after the test they load again from the real cache."""
     def empty():
-        monkeypatch.setattr(dynamics, "_CACHE_DIR", tmp_path / "cache")
-        dynamics._compiled_leapfrog.cache_clear()
+        monkeypatch.setattr(_kernels, "_CACHE_DIR", tmp_path / "cache")
+        reload_kernels()
         return tmp_path / "cache"
     yield empty
-    dynamics._compiled_leapfrog.cache_clear()
+    reload_kernels()
 
 
 def use_compiler(monkeypatch, command: str):
@@ -121,21 +140,40 @@ def test_unequal_blocks_are_refused(kernel):
         kernel(p, 1e-3, 0.0, 0.0, np.empty(4), np.empty(3), 1)
 
 
+# the bath_partition suite's decay geometry, and an evolve run at a small dimension
+RUNS = {
+    "bath": {"mode": "bath", "bath": {"cavity_length": 1.0, "wave_speed": 1.0,
+                                      "total_length": 10.0, "n_bins": 1963, "omega_max": 19.63,
+                                      "coupling_scale": 0.224, "cavity_mode_index": 2},
+             "time_grid": {"t_max": 30.0, "n_points": 601}},
+    "evolve": {"mode": "evolve", "transmon": {"E_C": 0.3, "E_J": 15.0, "n_cutoff": 10},
+               "time_grid": {"t_max": 2.0, "n_points": 4001}},
+}
+
+
 def observed(tmp_path, capsys, tag):
-    """A trajectory and a ``check`` run: their bytes and everything printed."""
+    """A trajectory and a ``check``, a ``bath`` and an ``evolve`` run: their
+    bytes and everything printed."""
     p = TransmonParams(EC=0.3, EJ=15.0, ng=0.37)
     traj = classical_trajectory(p, ClassicalState(0.3, 0.1), np.linspace(0.0, 20.0, 10001))
-    out = tmp_path / tag
-    assert cli.main(["check", "--out", str(out)]) == 0
-    printed = capsys.readouterr()
-    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-    return [traj.series[k].tobytes() for k in ("phi", "n", "energy")], files, printed
+    runs = {}
+    for mode, config in {"check": None, **RUNS}.items():
+        out = tmp_path / tag / mode
+        argv = [mode, "--out", str(out)]
+        if config is not None:
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(path)]
+        assert cli.main(argv) == 0
+        runs[mode] = ({f.name: f.read_bytes() for f in sorted(out.iterdir())},
+                      capsys.readouterr())
+    return [traj.series[k].tobytes() for k in ("phi", "n", "energy")], runs
 
 
 def compile_altered(cache, source: bytes):
-    """Compile ``source`` to the cache path of the real _leapfrog.c, with
+    """Compile ``source`` to the cache path of the real _kernels.c, with
     the checksum the loader looks for."""
-    real, command, lib = dynamics._kernel_build()
+    real, command, lib = _kernels.build()
     assert source != real
     cache.mkdir()  # empty, so nothing at this path has been loaded
     subprocess.run([*command, "-o", str(lib)], input=source, capture_output=True, timeout=120,
@@ -144,21 +182,36 @@ def compile_altered(cache, source: bytes):
         fh.write(hashlib.sha256(lib.read_bytes()).digest())
 
 
-@pytest.mark.parametrize("case", ["no-compiler", "fails-self-test", "no-source"])
+# an edit of one kernel that its self-test must see: half a step rounded one
+# ulp high; -0 for +0 in the phase at t = 0 (sin(-0) is -0); and eta added to
+# the origin pole before the difference, which rounds otherwise
+ALTERED = {
+    "fails-self-test": ("fieldcqed_leapfrog", b"0.5 * dt", b"0.5 * dt * (1.0 + 0x1p-52)"),
+    "phases-fail-self-test": ("fieldcqed_phases", b"0.0 * 0.0 + minus_e * t[k]",
+                              b"minus_e * t[k]"),
+    "denominators-fail-self-test": ("fieldcqed_denominators", b"(q[j] - o) - e",
+                                    b"q[j] - (o + e)"),
+}
+
+
+@pytest.mark.parametrize("case", ["no-compiler", *ALTERED, "no-source"])
 def test_the_fallback_gives_the_same_bytes_silently(kernel, empty_cache, tmp_path, capsys,
                                                     monkeypatch, case):
     expected = observed(tmp_path, capsys, "compiled")
-    assert expected[2].err == ""
+    assert all(printed.err == "" for _, printed in expected[1].values())
     cache = empty_cache()
+    fallen = set(KERNELS)
     if case == "no-compiler":
         use_compiler(monkeypatch, str(tmp_path / "no-such-cc"))
-    elif case == "fails-self-test":
-        # half a step rounded one ulp high
-        source = dynamics._SOURCE.read_bytes()
-        compile_altered(cache, source.replace(b"0.5 * dt", b"0.5 * dt * (1.0 + 0x1p-52)"))
+    elif case in ALTERED:
+        name, real, edit = ALTERED[case]
+        source = _kernels._SOURCE.read_bytes()
+        assert source.count(real) == 1
+        compile_altered(cache, source.replace(real, edit))
+        fallen = {name}
     else:  # an install that left the source out
-        monkeypatch.setattr(dynamics, "_SOURCE", tmp_path / "_leapfrog.c")
-    assert dynamics._compiled_leapfrog() is None
+        monkeypatch.setattr(_kernels, "_SOURCE", tmp_path / "_kernels.c")
+    assert trusted() == {name: name not in fallen for name in KERNELS}
     assert observed(tmp_path, capsys, case) == expected
 
 
@@ -166,25 +219,36 @@ def test_a_truncated_library_is_rebuilt_not_loaded(kernel, empty_cache, tmp_path
     # loading a truncated library would end the process with SIGBUS
     expected = observed(tmp_path, capsys, "compiled")
     empty_cache()
-    lib = dynamics._kernel_library()
+    lib = _kernels.library()
     lib.write_bytes(lib.read_bytes()[:lib.stat().st_size // 2])
-    dynamics._compiled_leapfrog.cache_clear()
-    assert dynamics._compiled_leapfrog() is not None
+    reload_kernels()
+    assert all(trusted().values())
     rebuilt = lib.read_bytes()
     assert rebuilt[-32:] == hashlib.sha256(rebuilt[:-32]).digest()
     assert observed(tmp_path, capsys, "truncated") == expected
 
 
 def test_editing_the_source_or_the_compiler_renames_the_library(tmp_path, monkeypatch):
-    lib = dynamics._kernel_build()[2]
-    edited = tmp_path / "_leapfrog.c"
-    edited.write_bytes(dynamics._SOURCE.read_bytes() + b"\n/* edited */\n")
+    lib = _kernels.build()[2]
+    edited = tmp_path / "_kernels.c"
+    edited.write_bytes(_kernels._SOURCE.read_bytes() + b"\n/* edited */\n")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_SOURCE", edited)
-        assert dynamics._kernel_build()[2] != lib
+        mp.setattr(_kernels, "_SOURCE", edited)
+        assert _kernels.build()[2] != lib
     use_compiler(monkeypatch, "cc -m64")
-    renamed = dynamics._kernel_build()[2]
+    renamed = _kernels.build()[2]
     assert renamed.parent == lib.parent and renamed != lib
+
+
+def test_the_compile_command_keeps_every_rounding(monkeypatch):
+    # contraction, fast-math and its parts would move bits; a host-tuned
+    # library could not be shared by another processor through the cache
+    use_compiler(monkeypatch, "cc")
+    command = _kernels.build()[1]
+    assert "-ffp-contract=off" in command
+    for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native"):
+        assert flag not in command
+    assert not [arg for arg in command if arg.startswith(("-march", "-mtune", "-mavx"))]
 
 
 def test_a_hung_compile_is_killed_and_waited_for(empty_cache, tmp_path, monkeypatch):
@@ -194,9 +258,9 @@ def test_a_hung_compile_is_killed_and_waited_for(empty_cache, tmp_path, monkeypa
     slow.write_text(f"#!/bin/sh\necho $$ > '{pid_file}'\nexec sleep 60\n", encoding="utf-8")
     slow.chmod(0o755)
     use_compiler(monkeypatch, str(slow))
-    monkeypatch.setattr(dynamics, "_COMPILE_TIMEOUT_S", 1.0)
+    monkeypatch.setattr(_kernels, "_COMPILE_TIMEOUT_S", 1.0)
     start = time.monotonic()
-    assert dynamics._compiled_leapfrog() is None
+    assert not any(trusted().values())
     assert time.monotonic() - start < 30
     # a child that was killed but not waited for would remain as a zombie
     with pytest.raises(ProcessLookupError):
