@@ -5,13 +5,20 @@
  *   fieldcqed_leapfrog      dynamics._leapfrog, the classical step loop;
  *   fieldcqed_phases        qops._phases, exp(-i E t) of Spectrum.propagate;
  *   fieldcqed_denominators  qops._denominators, the secular-function
- *                           reciprocals 1 / ((q_j - q_origin) - eta).
+ *                           reciprocals 1 / ((q_j - q_origin) - eta);
+ *   fieldcqed_tridiagonal   qops._tridiagonal_reference, LAPACK stevd over
+ *                           a stack of tridiagonal matrices with the
+ *                           eigenpair residual gate.
  *
  * Compile with -ffp-contract=off, so that no product and sum fuse into one
  * rounding, and never with -ffast-math, which would reassociate sums and
  * swap sincos for a vector variant. */
 #define _GNU_SOURCE
 #include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* NumPy and OpenBLAS run AVX-512 code just before these kernels; SSE code
  * that follows it without a vzeroupper runs several times slower on some
@@ -92,4 +99,88 @@ void fieldcqed_denominators(const double *q, long m, const double *qo, const dou
         for (long j = 0; j < m; j++)
             row[j] = 1.0 / ((q[j] - o) - e);
     }
+}
+
+/* LAPACK dstevd with 64-bit integers, as NumPy's bundled OpenBLAS exports
+ * it; the last argument is the hidden length of the character jobz, which
+ * a routine built without it ignores. */
+typedef void (*stevd_fn)(const char *jobz, const int64_t *n, double *d, double *e, double *z,
+                         const int64_t *ldz, double *work, const int64_t *lwork,
+                         int64_t *iwork, const int64_t *liwork, int64_t *info, size_t jobz_len);
+
+/* The largest ||H v - w v|| over the eigenpairs (w[j], column j of the
+ * column-major z) of the tridiagonal H = (diag, off), each residual formed
+ * in the order of the NumPy reference: diag * v, plus the upper band, plus
+ * the lower band, minus v * w.  NaN once any residual is NaN. */
+static double worst_residual(const double *diag, const double *off, const double *w,
+                             const double *z, long n)
+{
+    double worst = 0.0;
+    for (long j = 0; j < n; j++) {
+        const double *v = z + j * n;
+        double sum = 0.0;
+        for (long i = 0; i < n; i++) {
+            double r = diag[i] * v[i];
+            if (i + 1 < n)
+                r += off[i] * v[i + 1];
+            if (i > 0)
+                r += off[i - 1] * v[i - 1];
+            r -= v[i] * w[j];
+            sum += r * r;
+        }
+        const double resid = sqrt(sum);
+        if (!isnan(worst) && !(resid <= worst))
+            worst = resid;
+    }
+    return worst;
+}
+
+/* Eigenpairs of count symmetric tridiagonal matrices of order n >= 1 that
+ * share the off-diagonal off (n - 1 entries), each one stevd call.  Row k
+ * of d (count x n) holds the main diagonal of matrix k on entry and its
+ * ascending eigenvalues on return; its eigenvectors go to
+ * vecs + k * vecs_step as the columns of a column-major n x n block, so a
+ * vecs_step of 0 reuses one block.  Every eigenpair (w, v) must satisfy
+ * ||H v - w v|| <= 1e-10 max(max |w|, 1), and NaN fails.  Returns -1, or
+ * the index of the first matrix that failed, whose later rows are left as
+ * they were: report[0] is then stevd's info, or 0 when the matrix's worst
+ * residual, report[1], broke the bound.  Returns -2 when the workspace
+ * cannot be allocated. */
+long fieldcqed_tridiagonal(stevd_fn stevd, double *d, const double *off, long n, long count,
+                           double *vecs, long vecs_step, double *report)
+{
+    const int64_t order = n, lwork = 1 + 4 * (int64_t)n + (int64_t)n * n;
+    const int64_t liwork = 3 + 5 * (int64_t)n;
+    /* the diagonal that stevd overwrites, the off-diagonal it destroys, and
+     * its workspace */
+    double *diag = malloc(sizeof(double) * (size_t)(2 * n + lwork));
+    int64_t *iwork = malloc(sizeof(int64_t) * (size_t)liwork);
+    long failed = -1;
+    if (diag == NULL || iwork == NULL)
+        failed = -2;
+    for (long k = 0; k < count && failed == -1; k++) {
+        double *w = d + k * n, *e = diag + n, *z = vecs + k * vecs_step;
+        int64_t info = 0;
+        memcpy(diag, w, sizeof(double) * (size_t)n);
+        memcpy(e, off, sizeof(double) * (size_t)(n - 1));
+        stevd("V", &order, w, e, z, &order, e + n, &lwork, iwork, &liwork, &info, 1);
+        clear_upper_state();
+        if (info != 0) {
+            report[0] = (double)info;
+            failed = k;
+            continue;
+        }
+        double scale = 1.0;
+        for (long j = 0; j < n; j++)
+            scale = fabs(w[j]) > scale ? fabs(w[j]) : scale;
+        const double worst = worst_residual(diag, off, w, z, n);
+        if (!(worst <= 1e-10 * scale)) {
+            report[0] = 0.0;
+            report[1] = worst;
+            failed = k;
+        }
+    }
+    free(diag);
+    free(iwork);
+    return failed;
 }

@@ -16,15 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import e as elementary_charge
-from scipy.constants import epsilon_0, hbar
 
 from .errors import CapacityError, ContractViolationError, NumericError
 from .qops import Operator, StateVector, annihilation_op
 from .transmon import TransmonSolution, charge_matrix_element
-from .txline import LongitudinalNorm, ModeSet, TEMCrossSection
+from .txline import LongitudinalNorm, ModeSet, TEMCrossSection, epsilon_0, hbar
 
-TWO_E_OVER_HBAR = 2.0 * elementary_charge / hbar
+ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact in the SI
+TWO_E_OVER_HBAR = 2.0 * ELEMENTARY_CHARGE / hbar
 
 # largest product dimension _assemble builds densely; an Operator may be larger
 MAX_DIM = 4096

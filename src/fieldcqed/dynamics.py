@@ -201,10 +201,9 @@ def _compiled_leapfrog():
     results and StepSizeError, or None: when the kernel cannot be built or
     loaded, or when it differs from :func:`_leapfrog` in any bit of the
     self-test.  Built and checked once per process, on first use."""
-    row = _kernels.array(1, writeable=True)
     kernel = _kernels.function("fieldcqed_leapfrog", [
-        *[ctypes.c_double] * 4, ctypes.POINTER(ctypes.c_double), row, row, ctypes.c_long],
-        ctypes.c_long)
+        *[ctypes.c_double] * 4, ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_long], ctypes.c_long)
     if kernel is None:
         return None
 
@@ -212,7 +211,8 @@ def _compiled_leapfrog():
         if len(n_out) != len(phi_out):
             raise DimensionMismatchError("the phase and charge blocks differ in length")
         state = (ctypes.c_double * 2)(f, v)
-        j = kernel(p.EC, p.EJ, p.ng, dt, state, phi_out, n_out, len(phi_out))
+        j = kernel(p.EC, p.EJ, p.ng, dt, state, _kernels.pointer(phi_out, writeable=True),
+                   _kernels.pointer(n_out, writeable=True), len(phi_out))
         if j >= 0:
             raise StepSizeError(f"trajectory diverged at step {first_step + j}; reduce dt")
         return state[0], state[1]

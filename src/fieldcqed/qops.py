@@ -4,19 +4,21 @@ operators, :func:`tridiagonal_spectrum` for the charge-basis transmon, and
 :func:`rank_one_coupling_spectrum` (on :func:`secular_roots`) for a small
 block coupled to a diagonal one through a rank-one term (the cavity-port
 bath's Hamiltonian and quadrature form), which returns the eigenvalues and
-the small block's rows only.  No other module calls an eigensolver.
+the small block's rows only.  No other module calls an eigensolver, and
+every one runs in the LAPACK that NumPy links.
 
 :meth:`Spectrum.propagate` streams the propagated states in chunks of time
 columns, each one padded product, so no caller holds every sample's state at
 once, and every state has the same bits at any chunking and under any BLAS
 thread count.
 
-Two elementwise loops run in the compiled kernel library (``_kernels.c``,
-loaded by ``_kernels``) when it builds and passes its self-test: the phases
-of each propagation chunk (:func:`_phases`) and the denominators of the
-secular function (:func:`_denominators`).  Each repeats its NumPy reference
-operation for operation, so the results have the same bits either way; the
-matrix products and sums stay in NumPy and BLAS.
+Three loops run in the compiled kernel library (``_kernels.c``, loaded by
+``_kernels``) when it builds and passes its self-test: the phases of each
+propagation chunk (:func:`_phases`), the denominators of the secular
+function (:func:`_denominators`) and the stack of tridiagonal eigensolves
+with their residual check (:func:`_tridiagonal_reference`).  Each gives
+the bits of its NumPy reference, so the results are the same either way;
+the matrix products and sums stay in NumPy and BLAS.
 
 Internally hbar = 1: Hamiltonians are expressed in angular-frequency units
 and time in the inverse units, so ``exp(-i H t)`` needs no extra constants.
@@ -33,8 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dstevd
+from numpy.linalg import eigh
 
 from . import _kernels
 from .errors import ContractViolationError, DimensionMismatchError, NumericError
@@ -271,14 +272,13 @@ def _compiled_phases():
     so that |E t| reaches past glibc's large-argument reduction at 1.05e8.
     Built and checked once per process, on first use."""
     kernel = _kernels.function("fieldcqed_phases", [
-        _kernels.array(1), ctypes.c_long, _kernels.array(1), ctypes.c_long,
-        _kernels.array(2, writeable=True)])
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p])
     if kernel is None:
         return None
 
     def phases(evals, t):
         out = np.empty((evals.size, t.size), dtype=complex)
-        kernel(evals, evals.size, t, t.size, out.view(float))
+        kernel(_kernels.pointer(evals), evals.size, _kernels.pointer(t), t.size, out.ctypes.data)
         return out
 
     evals = np.concatenate([[-7.7e9, -3.5, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308],
@@ -297,8 +297,8 @@ def _compiled_denominators():
     denominators (+inf and -inf), an overflowing difference and NaN.  Built
     and checked once per process, on first use."""
     kernel = _kernels.function("fieldcqed_denominators", [
-        _kernels.array(1), ctypes.c_long, _kernels.array(1), _kernels.array(1), ctypes.c_long,
-        _kernels.array(2, writeable=True)])
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+        ctypes.c_void_p])
     if kernel is None:
         return None
 
@@ -306,7 +306,8 @@ def _compiled_denominators():
         if qo.shape != eta.shape:
             raise DimensionMismatchError("the origin poles and the offsets differ in length")
         out = np.empty((eta.size, q.size))
-        kernel(q, q.size, qo, eta, eta.size, out)
+        kernel(_kernels.pointer(q), q.size, _kernels.pointer(qo), _kernels.pointer(eta), eta.size,
+               out.ctypes.data)
         return out
 
     q = np.concatenate([[-1.7e308, -0.0], np.sqrt(np.arange(1.0, 30.0)) * 3.7 - 9.0, [1.7e308]])
@@ -324,17 +325,18 @@ def spectrum(h: Operator) -> Spectrum:
     uses it on this spectrum, ``bath.decay_simulation`` on the cavity rows
     from :func:`rank_one_coupling_spectrum` (the transmon's ``solve`` and
     ``level_sweep`` take :func:`tridiagonal_spectrum`).  ``h`` is hermitian
-    by construction of :class:`Operator`.  A real operator (every charge,
-    coupled and bath Hamiltonian this package builds) goes to the
-    real-symmetric divide-and-conquer solver, several times faster
-    than the complex one; complex operators keep the complex hermitian
-    solver.  A LAPACK failure is raised as NumericError.
+    by construction of :class:`Operator`.  NumPy's ``eigh`` runs LAPACK's
+    divide-and-conquer solver, ``syevd`` for a real operator (every charge,
+    coupled and bath Hamiltonian this package builds) and ``heevd`` for a
+    complex one.  ``vecs`` is made Fortran-ordered, as LAPACK returns it:
+    the products of :meth:`Spectrum.propagate` round by the layout of their
+    factors.  A LAPACK failure is raised as NumericError.
     """
     try:
-        evals, vecs = eigh(h.mat, driver="evd" if np.isrealobj(h.mat) else None)
+        evals, vecs = eigh(h.mat)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition of dimension {h.dim} failed: {exc}") from exc
-    return Spectrum(evals, vecs)
+    return Spectrum(evals, np.asfortranarray(vecs))
 
 
 _EPS = np.finfo(float).eps
@@ -627,35 +629,162 @@ def _coupled_roots(c, z, vecs, d, b, sigma, tol):
 
 
 def tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> Spectrum:
-    """Eigendecompositions of a stack of real symmetric tridiagonal
+    """Checked eigendecompositions of a stack of real symmetric tridiagonal
     matrices: ``diag`` of shape (b, n) holds b main diagonals that share the
     first off-diagonal ``off`` (a 1-D ``diag`` is a stack of one).
 
     Each matrix is one call of LAPACK ``stevd``, the divide-and-conquer step
-    that the dense ``evd`` solver of :func:`spectrum` runs after reducing a
-    matrix to tridiagonal form; on a matrix that is tridiagonal already the
+    that the dense solver of :func:`spectrum` runs after reducing a matrix
+    to tridiagonal form; on a matrix that is tridiagonal already the
     reduction is the identity, so both return the same eigenpairs.  The
     ``evals`` have shape (b, n) and the ``vecs`` shape (b, n, n), and each
     ``vecs[k]`` is Fortran-ordered, as LAPACK returns it, so its columns are
-    contiguous.  The bands are checked finite once per call.  Non-finite
-    bands and LAPACK failures are raised as NumericError.
+    contiguous.
+
+    Every eigenpair must satisfy ||H v - w v|| <= 1e-10 max(||H||, 1), with
+    ||H|| the largest |w| of its matrix; H v is the tridiagonal product,
+    O(n) per vector.  The stack runs in the compiled
+    :func:`_compiled_tridiagonal` when it is trusted, else in
+    :func:`_tridiagonal_reference`; both give the same bits.  The bands are
+    checked finite once per call.  Non-finite bands, LAPACK failures and
+    residuals past the bound are raised as NumericError on either path.
     """
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(off, dtype=float)
+    d, e = _bands(diag, off)
+    vecs = np.empty(d.shape + d.shape[-1:]).transpose(0, 2, 1)
+    return Spectrum(_tridiagonal(d, e, vecs), vecs)
+
+
+def tridiagonal_levels(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The ``evals`` of :func:`tridiagonal_spectrum`, bit for bit, checked
+    the same way, without keeping the eigenvectors: the compiled kernel
+    reuses one n x n block, the reference one block of ``_STACK_ROWS``
+    matrices."""
+    d, e = _bands(diag, off)
+    return _tridiagonal(d, e, None)
+
+
+def _bands(diag, off) -> tuple:
+    """``diag`` as a new (b, n) float64 array and ``off`` as a contiguous
+    float64 array; NumericError unless both are finite."""
+    d = np.array(diag, dtype=float, ndmin=2)
+    d = d.reshape(-1, d.shape[-1])
+    e = np.ascontiguousarray(off, dtype=float)
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise NumericError("tridiagonal matrix contains non-finite entries")
-    rows = d.reshape(-1, d.shape[-1])
-    n = rows.shape[1]
-    if n == 1 and e.size == 0:  # the stevd binding takes one off-diagonal entry even then
-        e = np.zeros(1)
-    evals = np.empty(rows.shape)
-    vecs = np.empty((rows.shape[0], n, n)).transpose(0, 2, 1)
-    for k, row in enumerate(rows):
-        evals[k], vecs[k], info = dstevd(row, e)
-        if info:
+    if e.shape != (max(d.shape[1] - 1, 0),):
+        raise DimensionMismatchError(f"{d.shape[1]} diagonal entries need {d.shape[1] - 1} "
+                                     f"off-diagonal ones, got shape {e.shape}")
+    return d, e
+
+
+def _tridiagonal(d: np.ndarray, e: np.ndarray, vecs) -> np.ndarray:
+    """The eigenvalues of the stack ``d`` over ``e``, in place of ``d``, and
+    the eigenvectors into ``vecs`` when it is not None: on the compiled
+    kernel when it is trusted, else on its reference, either way with the
+    BLAS on one thread (see ``_kernels.one_blas_thread``).  Both paths make
+    one small LAPACK call per matrix and give the same bits on any number
+    of threads."""
+    with _kernels.one_blas_thread():
+        return (_compiled_tridiagonal() or _tridiagonal_reference)(d, e, vecs)
+
+
+_STACK_ROWS = 16  # matrices per dense stack of _tridiagonal_reference
+
+
+def _tridiagonal_reference(d: np.ndarray, e: np.ndarray, vecs) -> np.ndarray:
+    """The reference of the compiled :func:`_compiled_tridiagonal`: dense
+    ``eigh`` of ``_STACK_ROWS`` matrices at a time, built from the bands,
+    then the residual check over that stack."""
+    n = d.shape[1]
+    on, up = np.arange(n), np.arange(n - 1)
+    for lo in range(0, d.shape[0], _STACK_ROWS):
+        rows = slice(lo, lo + _STACK_ROWS)
+        h = np.zeros(d[rows].shape + (n,))
+        h[:, on, on] = d[rows]
+        h[:, up, up + 1] = h[:, up + 1, up] = e
+        try:
+            w, v = eigh(h)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigendecomposition of dimension {n} failed: {exc}") from exc
+        hv = d[rows, :, None] * v
+        hv[:, :-1] += e[:, None] * v[:, 1:]
+        hv[:, 1:] += e[:, None] * v[:, :-1]
+        hv -= v * w[:, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the check below
+            resid = np.linalg.norm(hv, axis=1)
+        bound = 1e-10 * np.maximum(np.abs(w).max(axis=1, initial=0.0), 1.0)[:, None]
+        if not np.all(resid <= bound):
+            raise NumericError(f"eigenpair residual {resid.max():.3e} exceeds 1e-10 * ||H||")
+        d[rows] = w
+        if vecs is not None:
+            vecs[rows] = v
+    return d
+
+
+def _tridiagonal_kernel(stevd: int):
+    """:func:`_tridiagonal_reference` run by ``fieldcqed_tridiagonal`` of the
+    kernel library on the LAPACK routine at the address ``stevd``, or None
+    when the library cannot be built or loaded."""
+    kernel = _kernels.function("fieldcqed_tridiagonal", [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p], ctypes.c_long)
+    if kernel is None:
+        return None
+
+    def tridiagonal(d, e, vecs):
+        n = d.shape[1]
+        block = np.empty((n, n)) if vecs is None else vecs  # one reused block, or one per row
+        report = np.zeros(2)
+        failed = kernel(stevd, _kernels.pointer(d, writeable=True), _kernels.pointer(e), n,
+                        d.shape[0], block.ctypes.data, 0 if vecs is None else n * n,
+                        report.ctypes.data)
+        if failed == -2:
+            raise MemoryError(f"no workspace for the tridiagonal solver of dimension {n}")
+        if failed >= 0 and report[0]:
             raise NumericError(f"eigendecomposition of dimension {n} failed: "
-                               f"stevd did not converge (info {info})")
-    return Spectrum(evals, vecs)
+                               f"stevd did not converge (info {report[0]:.0f})")
+        if failed >= 0:
+            raise NumericError(f"eigenpair residual {report[1]:.3e} exceeds 1e-10 * ||H||")
+        return d
+
+    return tridiagonal
+
+
+@functools.cache
+def _compiled_tridiagonal():
+    """:func:`_tridiagonal_kernel` on NumPy's own LAPACK ``dstevd``, or None
+    when NumPy exports no such routine, the library cannot be built or
+    loaded, or the kernel differs from :func:`_tridiagonal_reference` in any
+    bit of its self-test, with and without eigenvectors, or raises where the
+    reference does not: matrices of order 1, random bands, and charge-basis
+    bands of order 3 and 41 with E_J of 0 (diagonal, with degenerate pairs),
+    1, -1 and 1e6; the order-41 ones go through the divide-and-conquer
+    merges.  Built and checked once per process, on first use."""
+    stevd = _kernels.lapack("dstevd")
+    kernel = None if stevd is None else _tridiagonal_kernel(stevd)
+    if kernel is None:
+        return None
+    rng = np.random.default_rng(5)
+    charges, ngs = np.arange(-20.0, 21.0), np.array([[0.0], [0.37], [0.5]])
+    cases = [(np.array([[0.3], [-2.0]]), np.zeros(0)),
+             (rng.normal(size=(3, 9)), rng.normal(size=8)),
+             (4.0 * (charges[19:22] - ngs) ** 2, np.full(2, 0.5)),
+             (4.0 * (charges - ngs[::2]) ** 2, np.zeros(40)),
+             (4.0 * (charges[None] - 0.37) ** 2, np.full(40, -0.5)),
+             (4.0 * charges[None] ** 2, np.full(40, 5e5))]
+
+    def same(d, e):
+        spectra = []
+        for solve in (kernel, _tridiagonal_reference):
+            vecs = np.empty(d.shape + d.shape[-1:]).transpose(0, 2, 1)
+            try:
+                spectra.append((solve(d.copy(), e, vecs).tobytes(), vecs.tobytes(),
+                                solve(d.copy(), e, None).tobytes()))
+            except NumericError as err:
+                spectra.append(str(err))
+        return spectra[0] == spectra[1]
+
+    return kernel if all(same(d, e) for d, e in cases) else None
 
 
 def expectation(mat: np.ndarray):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NumericError
-from .qops import Operator, tridiagonal_spectrum
+from .qops import Operator, tridiagonal_levels, tridiagonal_spectrum
 
 
 class TunnelingSign(enum.Enum):
@@ -122,54 +122,23 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * (np.conj(pivot) / np.abs(pivot))
 
 
-_NG_BLOCK = 16  # n_g points solved together: one block of eigenvectors is alive at a time
-
-
-def _checked_spectrum(p: TransmonParams, ngs: np.ndarray):
-    """Eigenpairs of the charge Hamiltonian of ``p`` at each n_g of the
-    block ``ngs``, stacked as ``qops.tridiagonal_spectrum`` returns them.
-
-    Every eigenpair must satisfy ||H v - w v|| <= 1e-10 max(||H||, 1),
-    checked over the whole block at once; H v is the tridiagonal product,
-    O(dim) per vector.
-    """
-    diag, off = _charge_bands(p, ngs)
-    spec = tridiagonal_spectrum(diag, off)
-    v = spec.vecs
-    hv = diag[:, :, None] * v
-    hv[:, :-1] += off[:, None] * v[:, 1:]
-    hv[:, 1:] += off[:, None] * v[:, :-1]
-    hv -= v * spec.evals[:, None, :]
-    with np.errstate(over="ignore"):  # an inf norm still fails the check below
-        resid = np.linalg.norm(hv, axis=1)
-    hnorm = np.abs(spec.evals).max(axis=1)  # ||H||_2 of a hermitian H
-    if np.any(resid > 1e-10 * np.maximum(hnorm, 1.0)[:, None]):
-        raise NumericError(f"eigenpair residual {resid.max():.3e} exceeds 1e-10 * ||H||")
-    return spec
-
-
 def level_sweep(p: TransmonParams, ngs) -> np.ndarray:
     """Sorted levels at every offset charge of the 1-D grid ``ngs`` (``p.ng``
     is ignored), one row per point: shape (len(ngs), dim).
 
     The same levels as ``solve`` at each point, bit for bit, without the
-    eigenvectors: points are solved in blocks of 16, and only one block's
-    eigenvectors exist at a time.
+    eigenvectors: the whole grid is one ``qops.tridiagonal_levels`` call,
+    which checks every eigenpair's residual as ``solve`` does.
     """
-    ngs = np.asarray(ngs, dtype=float)
-    levels = np.empty((ngs.size, p.dim))
-    for start in range(0, ngs.size, _NG_BLOCK):
-        block = slice(start, start + _NG_BLOCK)
-        levels[block] = _checked_spectrum(p, ngs[block]).evals
-    return levels
+    return tridiagonal_levels(*_charge_bands(p, np.asarray(ngs, dtype=float)))
 
 
 def solve(p: TransmonParams) -> TransmonSolution:
-    """Levels and phase-fixed eigenvectors from the tridiagonal solver,
-    through the same checked kernel as ``level_sweep`` (a one-point block).
-    ``eigvecs`` is Fortran-ordered, as LAPACK returns it, so each
+    """Levels and phase-fixed eigenvectors from the checked tridiagonal
+    solver ``qops.tridiagonal_spectrum``, with every eigenpair's residual
+    checked.  ``eigvecs`` is Fortran-ordered, as LAPACK returns it, so each
     eigenvector is a contiguous column."""
-    spec = _checked_spectrum(p, np.array([p.ng], dtype=float))
+    spec = tridiagonal_spectrum(*_charge_bands(p, p.ng))
     return TransmonSolution(levels=spec.evals[0], eigvecs=_fix_phases(spec.vecs[0]), params=p)
 
 

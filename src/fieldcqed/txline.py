@@ -12,9 +12,13 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import epsilon_0, hbar, mu_0
 
 from .errors import ContractViolationError, ModelError, NumericError
+
+# CODATA 2022 values in SI units, as scipy.constants (1.17) gives them
+epsilon_0 = 8.8541878188e-12  # F/m
+hbar = 1.0545718176461565e-34  # J s, h / (2 pi) with h exact
+mu_0 = 1.25663706127e-06  # N/A^2
 
 
 class BoundaryCondition(enum.Enum):

@@ -1,5 +1,5 @@
 """The compiled leapfrog kernel (in ``_kernels.c``) against the Python loop
-``dynamics._leapfrog`` it repeats, and, for all three kernels of the
+``dynamics._leapfrog`` it repeats, and, for all four kernels of the
 library, the loader (``_kernels``) and the fallback to the Python and NumPy
 references when the library cannot be built, loaded or trusted."""
 
@@ -42,7 +42,8 @@ def kernel():
 # the self-tested wrapper of each kernel, by its C function's name
 KERNELS = {"fieldcqed_leapfrog": dynamics._compiled_leapfrog,
            "fieldcqed_phases": qops._compiled_phases,
-           "fieldcqed_denominators": qops._compiled_denominators}
+           "fieldcqed_denominators": qops._compiled_denominators,
+           "fieldcqed_tridiagonal": qops._compiled_tridiagonal}
 
 
 def reload_kernels():
@@ -183,14 +184,19 @@ def compile_altered(cache, source: bytes):
 
 
 # an edit of one kernel that its self-test must see: half a step rounded one
-# ulp high; -0 for +0 in the phase at t = 0 (sin(-0) is -0); and eta added to
-# the origin pole before the difference, which rounds otherwise
+# ulp high; -0 for +0 in the phase at t = 0 (sin(-0) is -0); eta added to
+# the origin pole before the difference, which rounds otherwise; and the
+# first off-diagonal entry one ulp off before stevd sees it
 ALTERED = {
     "fails-self-test": ("fieldcqed_leapfrog", b"0.5 * dt", b"0.5 * dt * (1.0 + 0x1p-52)"),
     "phases-fail-self-test": ("fieldcqed_phases", b"0.0 * 0.0 + minus_e * t[k]",
                               b"minus_e * t[k]"),
     "denominators-fail-self-test": ("fieldcqed_denominators", b"(q[j] - o) - e",
                                     b"q[j] - (o + e)"),
+    "tridiagonal-fails-self-test": ("fieldcqed_tridiagonal",
+                                    b"memcpy(e, off, sizeof(double) * (size_t)(n - 1));",
+                                    b"memcpy(e, off, sizeof(double) * (size_t)(n - 1));"
+                                    b" if (n > 1) e[0] *= 1.0 + 0x1p-52;"),
 }
 
 

@@ -300,19 +300,31 @@ def test_solver_failure_is_a_numeric_error(monkeypatch):
         spectrum(Operator(np.diag([0.0, 1.0, 2.0])))
 
 
-def test_tridiagonal_solver_failure_is_a_numeric_error(monkeypatch):
-    def failing_stevd(d, e):
-        w, v, _ = scipy.linalg.lapack.dstevd(d, e)
-        return w, v, 3  # LAPACK's report that stevd did not converge
-    monkeypatch.setattr(qops, "dstevd", failing_stevd)
-    with pytest.raises(NumericError, match="did not converge"):
-        qops.tridiagonal_spectrum(np.arange(3.0), np.ones(2))
-    with pytest.raises(NumericError, match="did not converge"):
-        qops.tridiagonal_spectrum(np.arange(6.0).reshape(2, 3), np.ones(2))
-    with pytest.raises(NumericError, match="did not converge"):
-        solve(TransmonParams(1.0, 5.0))
-    with pytest.raises(NumericError, match="did not converge"):
-        level_sweep(TransmonParams(1.0, 5.0), np.linspace(0.0, 1.0, 40))
+def test_tridiagonal_solver_failure_is_a_numeric_error(fake_stevd, monkeypatch):
+    """LAPACK's report that stevd did not converge, on the compiled path,
+    and eigh's LinAlgError, on the reference path, reach every caller as a
+    NumericError."""
+    def each_caller_fails(message):
+        for call in (lambda: qops.tridiagonal_spectrum(np.arange(3.0), np.ones(2)),
+                     lambda: qops.tridiagonal_spectrum(np.arange(6.0).reshape(2, 3), np.ones(2)),
+                     lambda: qops.tridiagonal_levels(np.arange(6.0).reshape(2, 3), np.ones(2)),
+                     lambda: solve(TransmonParams(1.0, 5.0)),
+                     lambda: level_sweep(TransmonParams(1.0, 5.0), np.linspace(0.0, 1.0, 40))):
+            with pytest.raises(NumericError, match=message):
+                call()
+
+    def failing_stevd(real, *args):
+        real(*args)
+        args[10][0] = 3  # info: LAPACK's report that stevd did not converge
+
+    fake_stevd(failing_stevd)
+    each_caller_fails(r"stevd did not converge \(info 3\)")
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(qops, "_compiled_tridiagonal", lambda: None)
+    monkeypatch.setattr(qops, "eigh", failing_eigh)
+    each_caller_fails("did not converge")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -325,51 +337,76 @@ def test_stacked_tridiagonal_rejects_nonfinite_bands(bad):
         qops.tridiagonal_spectrum(np.zeros((3, 4)), np.array([1.0, bad, 1.0]))
 
 
-def test_stacked_tridiagonal_matches_one_matrix_at_a_time():
+def test_stacked_tridiagonal_matches_one_matrix_at_a_time(tridiagonal_paths):
     """Each row of a stack gives the eigenpairs of its matrix alone, bit
     for bit, with every eigenvector block Fortran-ordered as stevd returns
-    it."""
+    it, on the compiled kernel and on its reference."""
     rng = np.random.default_rng(11)
     d, e = rng.normal(size=(5, 9)), rng.normal(size=8)
-    stack = qops.tridiagonal_spectrum(d, e)
-    assert stack.evals.shape == (5, 9) and stack.vecs.shape == (5, 9, 9)
-    for k in range(5):
-        one = qops.tridiagonal_spectrum(d[k], e)
-        assert one.evals.shape == (1, 9) and one.vecs.shape == (1, 9, 9)
-        w, v = scipy.linalg.eigh_tridiagonal(d[k], e)
-        assert np.array_equal(stack.evals[k], w) and np.array_equal(one.evals[0], w)
-        assert np.array_equal(stack.vecs[k], v) and np.array_equal(one.vecs[0], v)
-        assert stack.vecs[k].flags.f_contiguous and one.vecs[0].flags.f_contiguous
-    single = qops.tridiagonal_spectrum(np.array([[2.0], [-1.0]]), np.zeros(0))
-    assert np.array_equal(single.evals, [[2.0], [-1.0]])
-    assert np.array_equal(single.vecs, np.ones((2, 1, 1)))
+    for _ in tridiagonal_paths():
+        stack = qops.tridiagonal_spectrum(d, e)
+        assert stack.evals.shape == (5, 9) and stack.vecs.shape == (5, 9, 9)
+        assert np.array_equal(qops.tridiagonal_levels(d, e), stack.evals)
+        for k in range(5):
+            one = qops.tridiagonal_spectrum(d[k], e)
+            assert one.evals.shape == (1, 9) and one.vecs.shape == (1, 9, 9)
+            w, v = scipy.linalg.eigh_tridiagonal(d[k], e)
+            assert np.array_equal(stack.evals[k], w) and np.array_equal(one.evals[0], w)
+            assert np.array_equal(stack.vecs[k], v) and np.array_equal(one.vecs[0], v)
+            assert stack.vecs[k].flags.f_contiguous and one.vecs[0].flags.f_contiguous
+        single = qops.tridiagonal_spectrum(np.array([[2.0], [-1.0]]), np.zeros(0))
+        assert np.array_equal(single.evals, [[2.0], [-1.0]])
+        assert np.array_equal(single.vecs, np.ones((2, 1, 1)))
 
 
-def test_tridiagonal_matches_dense_evd():
+def test_tridiagonal_bands_must_fit():
+    with pytest.raises(DimensionMismatchError, match="need 3 off-diagonal"):
+        qops.tridiagonal_spectrum(np.zeros((2, 4)), np.ones(4))
+
+
+def test_tridiagonal_matches_dense_evd(tridiagonal_paths):
     """On a tridiagonal matrix the dense evd solver's reduction is the
     identity, so it and stevd return the same eigenpairs bit for bit."""
     rng = np.random.default_rng(7)
     d, e = rng.normal(size=30), rng.normal(size=29)
     dense = spectrum(Operator(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
-    tri = qops.tridiagonal_spectrum(d, e)
-    assert np.array_equal(tri.evals[0], dense.evals)
-    assert np.array_equal(tri.vecs[0], dense.vecs)
+    assert dense.vecs.flags.f_contiguous
+    for _ in tridiagonal_paths():
+        tri = qops.tridiagonal_spectrum(d, e)
+        assert np.array_equal(tri.evals[0], dense.evals)
+        assert np.array_equal(tri.vecs[0], dense.vecs)
 
 
-def test_only_qops_binds_scipy_eigh():
+def test_dense_spectrum_matches_scipy_evd_bit_for_bit():
+    """NumPy's eigh runs the same LAPACK syevd as SciPy's evd driver, and
+    ``spectrum`` lays the eigenvectors out as SciPy returns them."""
+    rng = np.random.default_rng(3)
+    for dim in (1, 12, 20, 41, 130):
+        m = rng.normal(size=(dim, dim))
+        got = spectrum(Operator(m + m.T))
+        w, v = eigh(m + m.T, driver="evd")
+        assert got.evals.tobytes() == w.tobytes() and got.vecs.tobytes() == v.tobytes()
+        assert got.vecs.flags.f_contiguous
+
+
+def test_only_qops_binds_numpy_eigh():
     """Every eigendecomposition goes through qops.spectrum or
-    qops.tridiagonal_spectrum."""
+    qops.tridiagonal_spectrum: only qops binds NumPy's eigh and looks up a
+    LAPACK routine."""
     import importlib
     import pkgutil
 
     import fieldcqed
 
-    for solver in (scipy.linalg.eigh, scipy.linalg.lapack.dstevd):
-        binders = [info.name for info in pkgutil.iter_modules(fieldcqed.__path__)
-                   if any(v is solver
-                          for v in vars(importlib.import_module(f"fieldcqed.{info.name}")).values())]
-        assert binders == ["qops"], solver.__name__
-        assert not any(v is solver for v in vars(fieldcqed).values())
+    modules = {info.name: importlib.import_module(f"fieldcqed.{info.name}")
+               for info in pkgutil.iter_modules(fieldcqed.__path__)}
+    binders = [name for name, module in modules.items()
+               if any(v is np.linalg.eigh for v in vars(module).values())]
+    assert binders == ["qops"]
+    assert not any(v is np.linalg.eigh for v in vars(fieldcqed).values())
+    lookups = [name for name in modules if name != "_kernels"
+               and "_kernels.lapack(" in Path(modules[name].__file__).read_text()]
+    assert lookups == ["qops"]
 
 
 EIGENSOLVER_NAMES = {"eig", "eigh", "eigvals", "eigvalsh", "eig_banded", "eigvals_banded",

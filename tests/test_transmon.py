@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, eigh_tridiagonal
 
@@ -211,39 +211,76 @@ def test_blocked_sweep_is_bit_identical_to_per_point_solves(ec, ratio, n_cutoff,
         assert charge_matrix_element(s, 0, 1) == charge_matrix_element(ref, 0, 1)
 
 
-def test_perturbed_eigenpair_mid_block_fails_the_residual_check(monkeypatch):
-    """The block's vectorised residual check sees one bad eigenpair among
-    sixteen good ones."""
+def test_perturbed_eigenpair_mid_block_fails_the_residual_check(fake_stevd, monkeypatch):
+    """One bad eigenpair among good ones fails the residual check: the
+    compiled kernel stops the sweep at its matrix, the reference at the
+    16-matrix stack that holds it, mid-stack."""
     calls = []
-    real = qops.dstevd
 
-    def perturbed(d, e):
-        w, v, info = real(d, e)
-        calls.append(d)
-        if len(calls) == 24:  # the 8th row of the second 16-point block
-            w = w.copy()
-            w[3] += 1e-6 * np.abs(w).max()
-        return w, v, info
+    def perturbed_stevd(real, *args):
+        real(*args)
+        calls.append(args[1][0])
+        if len(calls) == 24:
+            w = args[2]  # the eigenvalues, in place of the diagonal
+            w[3] += 1e-6 * max(abs(w[k]) for k in range(args[1][0]))
 
-    monkeypatch.setattr(qops, "dstevd", perturbed)
+    fake_stevd(perturbed_stevd)
     with pytest.raises(NumericError, match="eigenpair residual"):
         level_sweep(TransmonParams(1.0, 20.0), np.linspace(0.0, 1.0, 40))
-    assert len(calls) == 32  # the failing block was solved, the third never started
+    assert calls == [41] * 24  # the sweep stopped at the perturbed matrix
+
+    stacks = []
+
+    def perturbed_eigh(h):
+        w, v = np.linalg.eigh(h)
+        stacks.append(h.shape)
+        if len(stacks) == 2:
+            w[7, 3] += 1e-6 * np.abs(w[7]).max()  # the 8th matrix of the second stack
+        return w, v
+
+    monkeypatch.setattr(qops, "_compiled_tridiagonal", lambda: None)
+    monkeypatch.setattr(qops, "eigh", perturbed_eigh)
+    with pytest.raises(NumericError, match="eigenpair residual"):
+        level_sweep(TransmonParams(1.0, 20.0), np.linspace(0.0, 1.0, 40))
+    assert stacks == [(16, 41, 41)] * 2  # the failing stack was solved, the third never started
 
 
-def test_level_sweep_holds_one_block_of_eigenvectors():
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ec=st.floats(0.05, 5.0), n_cutoff=st.integers(1, 40),
+       ej_over_ec=st.one_of(st.just(0.0), st.floats(1e-3, 1e6)),
+       sign=st.sampled_from(list(TunnelingSign)),
+       ng=st.one_of(st.sampled_from([0.0, 0.5, 1.0, -0.5]), st.floats(-3.0, 3.0)))
+def test_both_paths_give_the_dense_solver_bytes(tridiagonal_paths, ec, n_cutoff, ej_over_ec,
+                                                sign, ng):
+    """The compiled kernel and its reference both return the eigenpairs of
+    NumPy's dense eigh of the charge Hamiltonian, bit for bit: on a
+    tridiagonal matrix syevd's reduction is the identity and the rest is
+    stevd.  E_J = 0 gives diagonal matrices with degenerate pairs."""
+    p = TransmonParams(ec, ec * ej_over_ec, ng, n_cutoff, sign)
+    w, v = np.linalg.eigh(build_charge_hamiltonian(p).mat)
+    for _ in tridiagonal_paths():
+        spec = qops.tridiagonal_spectrum(*transmon._charge_bands(p, ng))
+        assert spec.evals[0].tobytes() == w.tobytes()
+        assert spec.vecs[0].tobytes() == v.tobytes() and spec.vecs[0].flags.f_contiguous
+        assert level_sweep(p, [ng, ng])[1].tobytes() == w.tobytes()
+        assert solve(p).eigvecs.tobytes() == transmon._fix_phases(v).tobytes()
+
+
+def test_level_sweep_holds_one_block_of_eigenvectors(tridiagonal_paths):
     """401 points at dim 41 hold 5.4 MB of eigenvectors in all; a sweep
-    keeps one 16-point block (215 kB) alive at a time."""
+    keeps one block alive at a time: one 41 x 41 block (13 kB) in the
+    compiled kernel, one 16-matrix stack (215 kB) in its reference."""
     p = TransmonParams(1.0, 20.0, n_cutoff=20)
     ngs = np.linspace(0.0, 1.0, 401)
-    level_sweep(p, ngs[:17])  # warm up lazy imports outside the traced window
-    tracemalloc.start()
-    try:
-        level_sweep(p, ngs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 1024 * 1024
+    for _ in tridiagonal_paths():
+        level_sweep(p, ngs[:17])  # warm up lazy imports outside the traced window
+        tracemalloc.start()
+        try:
+            level_sweep(p, ngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
 
 def mathieu_levels(ec, ej, ng, n_levels, terms=60):
@@ -330,8 +367,8 @@ class TestDispersion:
         # one diagonal row through the shared tridiagonal kernel, and
         # distinct n_g give distinct rows.
         rows = []
-        real = transmon.tridiagonal_spectrum
-        monkeypatch.setattr(transmon, "tridiagonal_spectrum",
+        real = transmon.tridiagonal_levels
+        monkeypatch.setattr(transmon, "tridiagonal_levels",
                             lambda diag, off: rows.extend(map(tuple, diag)) or real(diag, off))
         p = TransmonParams(1.0, 5.0)
         assert charge_dispersion(p, level=1) > 0.0
