@@ -278,8 +278,9 @@ def decay_simulation(bath: BathDiscretization, cavity_mode_index: int, t_grid,
     Memory: the series, the cavity rows and one chunk of phases and
     amplitudes at a time: :meth:`fieldcqed.qops.Spectrum.propagate` streams
     the amplitudes in chunks of fixed, padded width, each reduced to its
-    population before the next is built, so the population has the same
-    bits under any BLAS thread count.
+    population before the next is built.  Up to 64 cavity modes, the
+    population has the same bits under any BLAS thread count (the products
+    of the cavity rows run on one thread; see :mod:`fieldcqed.qops`).
 
     Time: the secular solve and the phases of the propagation dominate; the
     elementwise parts of both (the secular denominators and ``exp(-i mu

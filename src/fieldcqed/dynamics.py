@@ -20,7 +20,7 @@ from .errors import (
     NumericError,
     StepSizeError,
 )
-from .qops import _BLOCK, Operator, StateVector, expectation, spectrum
+from .qops import _BLOCK, _HERM_TILE, Operator, StateVector, expectation, spectrum
 from .transmon import (
     TransmonParams,
     build_charge_hamiltonian,
@@ -96,8 +96,16 @@ def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory
     of fixed, padded width, and each chunk is reduced to its samples of
     every series before the next is built; each expectation is one matrix
     product of the operator with the chunk plus a column dot product (a row
-    scaling when the operator is diagonal, decided once per call).  So the
-    series have the same bits under any BLAS thread count.
+    scaling when the operator is diagonal, decided once per call).  With at
+    most 64 states solved, the series have the same bits under any BLAS
+    thread count (see :mod:`fieldcqed.qops` for larger ones).
+
+    Only the set R that ``psi0`` reaches through the exact nonzeros of ``h``
+    is solved (:func:`_reachable`): every state is exactly zero off R, so
+    H_RR, psi0_R and each O_RR give the exact series.  A coupled Hamiltonian
+    at n_g = 0 is one parity sector (``transmon.charge_matrix_element``).
+    When R is the whole space nothing is copied.  ``metadata["solved_dim"]``
+    is the size of R.
     """
     t = time_grid(t_grid)
     op_h = _as_operator(h)
@@ -111,16 +119,41 @@ def evolve(h, psi0: StateVector, t_grid, observables: dict = None) -> Trajectory
             raise DimensionMismatchError(f"observable {name!r} dimension mismatch")
 
     series = {name: np.empty(t.size) for name in ("norm", "energy", *observables)}
-    reducers = [(series["energy"], expectation(op_h.mat))]
-    reducers += [(series[name], expectation(op.mat)) for name, op in observables.items()]
-    for cols, states in spectrum(op_h).propagate(psi0.amps, t):
+    mats = [op_h.mat, *(op.mat for op in observables.values())]
+    amps = psi0.amps
+    keep = _reachable(op_h.mat, amps)
+    if keep.size < psi0.dim:
+        block = np.ix_(keep, keep)
+        mats, amps = [mat[block] for mat in mats], amps[keep]
+        op_h = Operator(mats[0])
+    names = ["energy", *observables]
+    reducers = [(series[name], expectation(mat)) for name, mat in zip(names, mats)]
+    for cols, states in spectrum(op_h).propagate(amps, t):
         if not np.all(np.isfinite(states.view(float))):
             raise NumericError("evolution produced non-finite amplitudes")
         n = cols.stop - cols.start
         series["norm"][cols] = np.linalg.norm(states, axis=0)[:n]
         for out, reduce in reducers:
             out[cols] = reduce(states)[:n]
-    return Trajectory(times=t, series=series)
+    return Trajectory(times=t, series=series, metadata={"solved_dim": keep.size})
+
+
+def _reachable(mat: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Ascending indices of the basis states that ``amps`` reaches through
+    the exact nonzero entries of ``mat``, read from its rows and its columns
+    (the eigensolver reads one triangle), so the set is closed either way.
+    A frontier search: each round gathers ``_HERM_TILE`` rows and columns
+    at a time, so no dim x dim temporary is made."""
+    reach = amps != 0
+    frontier = np.flatnonzero(reach)
+    while frontier.size and not reach.all():
+        hit = np.zeros_like(reach)
+        for lo in range(0, frontier.size, _HERM_TILE):
+            rows = frontier[lo:lo + _HERM_TILE]
+            hit |= np.any(mat[rows] != 0, axis=0) | np.any(mat[:, rows] != 0, axis=1)
+        frontier = np.flatnonzero(hit & ~reach)
+        reach |= hit
+    return np.flatnonzero(reach)
 
 
 # numpy sums a contiguous float64 array pairwise: it splits n > 128 entries

@@ -9,8 +9,14 @@ every one runs in the LAPACK that NumPy links.
 
 :meth:`Spectrum.propagate` streams the propagated states in chunks of time
 columns, each one padded product, so no caller holds every sample's state at
-once, and every state has the same bits at any chunking and under any BLAS
-thread count.
+once, and every state has the same bits at any chunking.
+
+Under 1 and 2 OpenBLAS (0.3.31) threads, products at most
+``_ONE_THREAD_ROWS`` rows high run on one thread (:func:`_matmul`) and keep
+their bits; taller real ones kept them in probes, complex ones from 129 rows
+did not.  Eigenpairs lost them on random matrices at most dims from 146
+(``syevd``) and from 98 (``heevd``), so only operators of at most 64 rows
+are thread-count independent throughout.
 
 Three loops run in the compiled kernel library (``_kernels.c``, loaded by
 ``_kernels``) when it builds and passes its self-test: the phases of each
@@ -153,10 +159,24 @@ def annihilation_op(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max)), k=1)
 
 
+# products whose left factor has at most this many rows run on one BLAS thread
+_ONE_THREAD_ROWS = 64
+
+
 def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a @ x``.  A real ``a`` times a complex ``x`` runs as one real
     product on the interleaved real and imaginary parts of ``x`` instead of
-    upcasting ``a`` to a complex copy."""
+    upcasting ``a`` to a complex copy.
+
+    At most ``_ONE_THREAD_ROWS`` rows of ``a`` run on one BLAS thread: two
+    threads rounded the bath's 20 cavity rows over 400 or 2000 bins otherwise."""
+    if a.shape[0] > _ONE_THREAD_ROWS:
+        return _product(a, x)
+    with _kernels.one_blas_thread():
+        return _product(a, x)
+
+
+def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(a) or not np.iscomplexobj(x):
         return a @ x
     x = np.ascontiguousarray(x)
@@ -210,9 +230,10 @@ class Spectrum:
         state at t = 0.  Every chunk is one product, :func:`_chunk_width`
         columns wide or, the last one, padded to a multiple of
         ``_COL_GROUP`` columns and at least ``_MIN_COLS``.  So each state
-        has the same bits at any chunking and under any BLAS thread count,
-        and a caller that reduces each chunk before taking the next never
-        holds more than one chunk of states.
+        has the same bits at any chunking (and, at most 64 rows high, under
+        any BLAS thread count: see the module notes), and a caller that
+        reduces each chunk before taking the next never holds more than one
+        chunk of states.
 
         The phases ``exp(-i E t)`` of a chunk come from the compiled
         :func:`_compiled_phases` when it is trusted, else from

@@ -143,9 +143,20 @@ def solve(p: TransmonParams) -> TransmonSolution:
 
 
 def charge_matrix_element(s: TransmonSolution, i: int, j: int) -> float:
-    """<i| n |j> under the fixed phase convention; symmetric in (i, j)."""
+    """<i| n |j> under the fixed phase convention; symmetric in (i, j).
+
+    Exactly 0.0 when n_g = 0, E_J > 0 and i + j is even (parity selection
+    rule): the Hamiltonian then commutes with N -> -N, which takes n to -n.  In
+    the even and odd combinations of |N> and |-N> the odd block is the even
+    one without its first row and column; both are unreduced tridiagonal
+    for E_J != 0, so their eigenvalues interlace strictly and level i has
+    parity (-1)^i under either TunnelingSign.  The overlap computed
+    otherwise would be eigenvector error, not an exact zero.
+    """
     if not (0 <= i < s.n_levels and 0 <= j < s.n_levels):
         raise IndexError(f"level indices ({i}, {j}) outside [0, {s.n_levels})")
+    if s.params.ng == 0.0 and s.params.EJ > 0 and (i + j) % 2 == 0:
+        return 0.0
     n_diag = np.arange(-s.params.n_cutoff, s.params.n_cutoff + 1, dtype=float)
     vi = s.eigvecs[:, i]
     vj = s.eigvecs[:, j]

@@ -12,8 +12,10 @@ from scipy.linalg import eigh
 from fieldcqed import dynamics
 from fieldcqed.coupled import (
     CouplingSpec,
+    build_full_hamiltonian,
     build_nn_hamiltonian,
     coupling_strength,
+    total_excitation_op,
 )
 from fieldcqed.dynamics import (
     ClassicalState,
@@ -642,6 +644,101 @@ class TestFirstReturnPeriod:
         t = np.linspace(0, 1, 50)
         with pytest.raises(Exception):
             first_return_period(t, np.exp(-t))
+
+
+def permuted_blocks(sizes, seed, real):
+    """A random hermitian matrix with diagonal blocks of ``sizes`` and
+    nothing else, its basis shuffled, and the shuffled index sets of its
+    blocks."""
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    h = np.zeros((dim, dim), dtype=float if real else complex)
+    lo = 0
+    for size in sizes:
+        a = rng.normal(size=(size, size)) + (0 if real else 1j * rng.normal(size=(size, size)))
+        h[lo:lo + size, lo:lo + size] = (a + a.conj().T) / 2
+        lo += size
+    perm = rng.permutation(dim)
+    inverse = np.argsort(perm)
+    edges = np.cumsum([0, *sizes])
+    blocks = [np.sort(inverse[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+    return Operator(h[np.ix_(perm, perm)]), blocks
+
+
+def assert_series_match(got, ref, rel):
+    for name, series in ref.items():
+        tol = rel * max(1.0, float(np.max(np.abs(series))))
+        assert np.max(np.abs(got[name] - series)) <= tol, name
+
+
+class TestReachableBlock:
+    """evolve solves only the states the initial state reaches through the
+    exact nonzeros of H, and its series equal a full dense solve."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("seed", [3, 17, 41])
+    def test_permuted_block_diagonal_matches_the_full_solve(self, seed, real):
+        h, blocks = permuted_blocks((9, 14, 6), seed, real)
+        dim = h.dim
+        rng = np.random.default_rng(seed + 1)
+        amps = np.zeros(dim, dtype=complex)
+        amps[blocks[1]] = rng.normal(size=14) + 1j * rng.normal(size=14)
+        psi0 = StateVector.from_amplitudes(amps)
+        # dense and complex: entries across every pair of blocks
+        observables = {"dense": random_hermitian(dim, seed + 2),
+                       "diagonal": Operator(np.diag(rng.normal(size=dim)))}
+        t = np.linspace(0.0, 8.0, 161)
+        traj = evolve(h, psi0, t, observables)
+        assert traj.metadata == {"solved_dim": 14}
+        assert_series_match(traj.series, reference_evolve(h.mat, psi0, t, observables), 1e-12)
+
+    def test_a_state_on_two_blocks_solves_their_union(self):
+        h, blocks = permuted_blocks((5, 8, 11), 29, True)
+        amps = np.zeros(h.dim)
+        amps[blocks[0][2]] = amps[blocks[2][7]] = 1.0
+        psi0 = StateVector.from_amplitudes(amps)
+        obs = {"dense": random_hermitian(h.dim, 30)}
+        t = np.linspace(0.0, 5.0, 101)
+        traj = evolve(h, psi0, t, obs)
+        assert traj.metadata["solved_dim"] == 5 + 11
+        assert_series_match(traj.series, reference_evolve(h.mat, psi0, t, obs), 1e-12)
+
+    def test_only_exact_zeros_separate_blocks(self):
+        # a 1e-300 entry joins two blocks, and a non-symmetric one counts
+        # from either side
+        h, blocks = permuted_blocks((4, 6), 31, True)
+        mat = h.mat.copy()
+        a, b = blocks[0][0], blocks[1][0]
+        mat[a, b] = mat[b, a] = 1e-300
+        psi0 = StateVector.basis_state(h.dim, a)
+        assert evolve(Operator(mat), psi0, np.linspace(0.0, 1.0, 5)).metadata["solved_dim"] == 10
+        mat[a, b] = 0.0
+        for start in (a, b):
+            traj = evolve(Operator(mat), StateVector.basis_state(h.dim, start),
+                          np.linspace(0.0, 1.0, 5))
+            assert traj.metadata["solved_dim"] == 10
+
+    def test_a_state_reaching_everything_solves_the_whole_space(self, monkeypatch):
+        h = random_hermitian(20, 33)
+        solved = []
+        monkeypatch.setattr(dynamics, "spectrum", lambda op: solved.append(op) or spectrum(op))
+        traj = evolve(h, StateVector.basis_state(20, 4), np.linspace(0.0, 1.0, 5))
+        assert traj.metadata["solved_dim"] == 20
+        assert solved == [h]  # the caller's Operator itself: nothing copied
+
+    @pytest.mark.parametrize("ng, solved_dim", [(0.0, 128), (0.25, 256)])
+    def test_the_coupled_parity_sector(self, ng, solved_dim):
+        ts = solve(TransmonParams(EC=0.3 * GHZ, EJ=15.0 * GHZ, ng=ng))
+        line = LineParams(3.6e-6, 1.6e-10 / 9.0, 0.011)
+        modes = mode_operator_coeffs(compute_modes(line, 2), matched_cross_section(line))
+        built = build_full_hamiltonian(ts, modes, CouplingSpec(0.02, 0.3 * line.length), 4, (8, 8))
+        psi0 = built.basis_state(1, (0, 0))
+        obs = {"n_exc": total_excitation_op(built)}
+        g = abs(built.g_table[0, 1, 0])
+        t = np.linspace(0.0, 2.0 * np.pi / g, 81)
+        traj = evolve(built, psi0, t, obs)
+        assert built.dim == 256 and traj.metadata["solved_dim"] == solved_dim
+        assert_series_match(traj.series, reference_evolve(built.matrix.mat, psi0, t, obs), 1e-12)
 
 
 @given(dim=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))

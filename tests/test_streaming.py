@@ -90,6 +90,32 @@ def test_cli_writes_the_same_bytes_under_one_and_two_threads(cli_runs, mode):
         assert files_1[name] == files_2[name], name
 
 
+# bath runs whose decay rows took other bits under 2 threads while the
+# cavity-row products ran threaded: 20 cavity modes over 400 or 2000 bins
+# to omega_max 200, under both closures (587, 662, 342 and 364 of 1001 rows)
+THREADED_BATHS = [{"mode": "bath", "time_grid": {"t_max": 30.0, "n_points": 1001},
+                   "bath": {"cavity_length": 1.0, "wave_speed": 1.0, "n_cavity_modes": 20,
+                            "n_bins": n_bins, "omega_max": 200.0, "closure": closure}}
+                  for n_bins in (400, 2000)
+                  for closure in ("pmc-cavity-pec-port", "pec-cavity-pmc-port")]
+
+
+def test_bath_decay_has_the_same_bytes_under_one_and_two_threads(tmp_path):
+    configs = []
+    for k, cfg in enumerate(THREADED_BATHS):
+        configs.append(tmp_path / f"bath{k}.json")
+        configs[-1].write_text(json.dumps(cfg), encoding="utf-8")
+    code = ("import sys\nfrom pathlib import Path\nfrom fieldcqed import cli\n"
+            "for k, config in enumerate(sys.argv[2:]):\n"
+            "    out = Path(sys.argv[1]) / str(k)\n"
+            "    assert cli.main(['bath', '--config', config, '--out', str(out)]) == 0\n"
+            "    print((out / 'bath_decay.csv').read_bytes().hex())\n")
+    decays = {threads: run_python(code, threads, tmp_path / str(threads), *configs).split()
+              for threads in THREADS}
+    assert len(decays[1]) == len(THREADED_BATHS)
+    assert decays[1] == decays[2]
+
+
 def padded_width(n: int) -> int:
     """The width of one padded product over ``n`` time columns."""
     return max(qops._MIN_COLS, -(-n // qops._COL_GROUP) * qops._COL_GROUP)
@@ -125,10 +151,10 @@ def grid_case(case):
 
 
 def property_digest() -> str:
-    """Runs the streamed-against-whole property over evolve and
-    decay_simulation (failing on the first example that differs) and
-    returns a digest of every series it computed, for comparing thread
-    counts."""
+    """Runs the streamed-against-whole property over evolve (on dense and
+    on block-structured Hamiltonians) and decay_simulation (failing on the
+    first example that differs) and returns a digest of every series it
+    computed, for comparing thread counts."""
     digest = hashlib.sha256()
 
     @settings(derandomize=True, max_examples=30, deadline=None, database=None)
@@ -144,6 +170,35 @@ def property_digest() -> str:
         streamed, whole = streamed_and_whole(lambda g: dyn.evolve(h, psi0, g, obs),
                                              t, width, offset)
         assert streamed == whole
+        digest.update(b"".join(streamed.values()))
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(sizes=st.tuples(st.integers(1, 64), st.integers(1, 200), st.integers(0, 200)),
+           real=st.booleans(), seed=st.integers(0, 2**32 - 1), case=grids)
+    def block_property(sizes, real, seed, case):
+        # evolve solves only the block the state starts in, of at most 64
+        # states: its products run on one BLAS thread and its eigenpairs
+        # had the same bits under 1 and 2 threads.  The whole space, up to
+        # dim 464, would not (complex eigh from dim 98, real from 146, and
+        # complex products from 129 rows differed).
+        sizes = [size for size in sizes if size]
+        t, width, offset = grid_case(case)
+        rng = np.random.default_rng(seed)
+        h = np.zeros((sum(sizes),) * 2, dtype=float if real else complex)
+        edges = np.cumsum([0, *sizes])
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            h[lo:hi, lo:hi] = random_operator(rng, hi - lo, real).mat
+        perm = rng.permutation(h.shape[0])
+        h = Operator(h[np.ix_(perm, perm)])
+        amps = np.zeros(h.dim, dtype=complex)
+        start = np.argsort(perm)[:sizes[0]]
+        amps[start] = rng.normal(size=sizes[0]) + 1j * rng.normal(size=sizes[0])
+        psi0 = StateVector.from_amplitudes(amps)
+        obs = {"dense": random_operator(rng, h.dim, not real)}
+        streamed, whole = streamed_and_whole(lambda g: dyn.evolve(h, psi0, g, obs),
+                                             t, width, offset)
+        assert streamed == whole
+        assert dyn.evolve(h, psi0, t[:2]).metadata["solved_dim"] == sizes[0]
         digest.update(b"".join(streamed.values()))
 
     @settings(derandomize=True, max_examples=30, deadline=None, database=None)
@@ -165,6 +220,7 @@ def property_digest() -> str:
         digest.update(b"".join(streamed.values()))
 
     evolve_property()
+    block_property()
     decay_property()
     return digest.hexdigest()
 
